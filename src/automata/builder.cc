@@ -1,6 +1,7 @@
 #include "src/automata/builder.h"
 
 #include <set>
+#include <tuple>
 
 #include "src/logic/parser.h"
 
@@ -245,11 +246,9 @@ Result<Program> ProgramBuilder::Build() const {
   // --- Static determinism screen: identical (label, state) pairs with
   // syntactically identical guards are certainly nondeterministic; the
   // general case is checked at runtime.
-  std::set<std::string> seen;
+  std::set<std::tuple<std::string, std::string, std::string>> seen;
   for (const Rule& rule : program.rules_) {
-    std::string key =
-        rule.label + "\x1f" + rule.state + "\x1f" + rule.guard.ToString();
-    if (!seen.insert(key).second) {
+    if (!seen.emplace(rule.label, rule.state, rule.guard.ToString()).second) {
       return Nondeterminism("two rules for (" + rule.label + ", " +
                             rule.state + ") with identical guard " +
                             rule.guard.ToString());

@@ -10,6 +10,7 @@
 
 #include <chrono>
 
+#include "src/automata/step.h"
 #include "src/common/failpoint.h"
 #include "src/common/governor.h"
 #include "src/common/metrics.h"
@@ -153,18 +154,10 @@ struct Outcome {
 class Runner {
  public:
   Runner(const Program& program, const Tree& tree, const RunOptions& options)
-      : program_(program), tree_(tree), options_(options) {
-    // Pre-resolve rule labels to symbols; rules whose label the tree
-    // never uses can only match via the wildcard.
-    for (const Rule& rule : program.rules()) {
-      labels_.push_back(rule.label == "*" ? -2 : tree.FindLabel(rule.label));
-    }
-    // States with at least one exact-label rule, for wildcard shadowing.
-    for (const Rule& rule : program.rules()) {
-      if (rule.label != "*") {
-        exact_keys_.insert(rule.state + "\x1f" + rule.label);
-      }
-    }
+      : program_(program),
+        tree_(tree),
+        options_(options),
+        dispatch_(program.rules(), tree) {
     // Selector identities for the atp() cache.  Rules whose selectors
     // print identically evaluate identically, so they share one cache
     // id (the first such rule's index).  Also collect the store
@@ -247,7 +240,9 @@ class Runner {
             static_cast<std::int64_t>(store.TotalTuples()) * 24));
       }
 
-      TREEWALK_ASSIGN_OR_RETURN(const Rule* rule, FindRule(u, state, store));
+      TREEWALK_ASSIGN_OR_RETURN(
+          const Rule* rule,
+          FindRule(program_, dispatch_, tree_, u, state, store));
       if (rule == nullptr) return Rejected(RejectReason::kStuck);
 
       if (++stats_.steps > options_.max_steps) {
@@ -264,13 +259,13 @@ class Runner {
       const Action& action = rule->action;
       switch (action.kind) {
         case Action::Kind::kMove: {
-          NodeId v = ApplyMove(u, action.move);
+          NodeId v = MoveFrom(tree_, u, action.move);
           if (v == kNoNode) return Rejected(RejectReason::kMoveOffTree);
           u = v;
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeContext(u, store);
+          StoreContext context = MakeStoreContext(tree_, u, store);
           TREEWALK_ASSIGN_OR_RETURN(
               Relation result,
               EvalStoreFormula(context, action.update, action.update_vars));
@@ -497,64 +492,6 @@ class Runner {
     return Status::Ok();
   }
 
-  /// Finds the unique applicable rule, nullptr if none, or a
-  /// Nondeterminism error if several guards fire.
-  Result<const Rule*> FindRule(NodeId u, const std::string& state,
-                               const Store& store) {
-    Symbol label = tree_.label(u);
-    bool shadowed = exact_keys_.count(
-                        state + "\x1f" + tree_.LabelName(label)) > 0;
-    const Rule* found = nullptr;
-    StoreContext context = MakeContext(u, store);
-    for (std::size_t i = 0; i < program_.rules().size(); ++i) {
-      const Rule& rule = program_.rules()[i];
-      if (rule.state != state) continue;
-      bool is_wildcard = rule.label == "*";
-      if (is_wildcard) {
-        if (shadowed) continue;
-      } else if (labels_[i] != label) {
-        continue;
-      }
-      TREEWALK_ASSIGN_OR_RETURN(bool holds,
-                                EvalStoreSentence(context, rule.guard));
-      if (!holds) continue;
-      if (found != nullptr) {
-        return Nondeterminism("rules for (" + tree_.LabelName(label) + ", " +
-                              state + ") both apply: guards " +
-                              found->guard.ToString() + " and " +
-                              rule.guard.ToString());
-      }
-      found = &rule;
-    }
-    return found;
-  }
-
-  StoreContext MakeContext(NodeId u, const Store& store) const {
-    StoreContext context;
-    context.store = &store;
-    context.values = &tree_.values();
-    for (AttrId a = 0; a < static_cast<AttrId>(tree_.num_attributes()); ++a) {
-      context.current_attrs[tree_.attributes().NameOf(a)] = tree_.attr(a, u);
-    }
-    return context;
-  }
-
-  NodeId ApplyMove(NodeId u, Move move) const {
-    switch (move) {
-      case Move::kStay:
-        return u;
-      case Move::kLeft:
-        return tree_.PrevSibling(u);
-      case Move::kRight:
-        return tree_.NextSibling(u);
-      case Move::kUp:
-        return tree_.Parent(u);
-      case Move::kDown:
-        return tree_.FirstChild(u);
-    }
-    return kNoNode;
-  }
-
   void Trace(NodeId u, const std::string& state, const Rule& rule) {
     if (!options_.record_trace ||
         trace_.size() >= options_.max_trace_entries) {
@@ -583,8 +520,7 @@ class Runner {
   const Program& program_;
   const Tree& tree_;
   const RunOptions& options_;
-  std::vector<Symbol> labels_;
-  std::set<std::string> exact_keys_;
+  const RuleDispatch dispatch_;
   std::vector<std::size_t> selector_ids_;
   std::vector<std::vector<int>> selector_rels_;
   std::map<SelectorKey, std::vector<NodeId>> selector_cache_;

@@ -4,6 +4,7 @@
 #include <set>
 #include <tuple>
 
+#include "src/automata/step.h"
 #include "src/hyperset/hyperset.h"
 #include "src/logic/atomic_types.h"
 #include "src/logic/tree_eval.h"
@@ -53,14 +54,11 @@ class Session {
  public:
   Session(const Program& program, const Tree& tree,
           const std::vector<int>& owner, const ProtocolOptions& options)
-      : program_(program), tree_(tree), owner_(owner), options_(options) {
-    for (const Rule& rule : program.rules()) {
-      labels_.push_back(rule.label == "*" ? -2 : tree.FindLabel(rule.label));
-      if (rule.label != "*") {
-        exact_keys_.insert(rule.state + "\x1f" + rule.label);
-      }
-    }
-  }
+      : program_(program),
+        tree_(tree),
+        owner_(owner),
+        options_(options),
+        dispatch_(program.rules(), tree) {}
 
   Result<ProtocolResult> Run(std::uint64_t type_token_f,
                              std::uint64_t type_token_g) {
@@ -142,7 +140,9 @@ class Session {
         break;
       }
 
-      TREEWALK_ASSIGN_OR_RETURN(const Rule* rule, FindRule(u, state, store));
+      TREEWALK_ASSIGN_OR_RETURN(
+          const Rule* rule,
+          FindRule(program_, dispatch_, tree_, u, state, store));
       if (rule == nullptr) break;  // stuck
       if (++steps_ > options_.max_steps) {
         return ResourceExhausted("exceeded max_steps");
@@ -152,7 +152,7 @@ class Session {
       bool rejected = false;
       switch (action.kind) {
         case Action::Kind::kMove: {
-          NodeId v = ApplyMove(u, action.move);
+          NodeId v = MoveFrom(tree_, u, action.move);
           if (v == kNoNode) {
             rejected = true;
             break;
@@ -169,7 +169,7 @@ class Session {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeContext(u, store);
+          StoreContext context = MakeStoreContext(tree_, u, store);
           TREEWALK_ASSIGN_OR_RETURN(
               Relation updated,
               EvalStoreFormula(context, action.update, action.update_vars));
@@ -233,64 +233,11 @@ class Session {
     return outcome;
   }
 
-  Result<const Rule*> FindRule(NodeId u, const std::string& state,
-                               const Store& store) {
-    Symbol label = tree_.label(u);
-    bool shadowed =
-        exact_keys_.count(state + "\x1f" + tree_.LabelName(label)) > 0;
-    const Rule* found = nullptr;
-    StoreContext context = MakeContext(u, store);
-    for (std::size_t i = 0; i < program_.rules().size(); ++i) {
-      const Rule& rule = program_.rules()[i];
-      if (rule.state != state) continue;
-      if (rule.label == "*") {
-        if (shadowed) continue;
-      } else if (labels_[i] != label) {
-        continue;
-      }
-      TREEWALK_ASSIGN_OR_RETURN(bool holds,
-                                EvalStoreSentence(context, rule.guard));
-      if (!holds) continue;
-      if (found != nullptr) {
-        return Nondeterminism("two rules apply in state " + state);
-      }
-      found = &rule;
-    }
-    return found;
-  }
-
-  StoreContext MakeContext(NodeId u, const Store& store) const {
-    StoreContext context;
-    context.store = &store;
-    context.values = &tree_.values();
-    for (AttrId a = 0; a < static_cast<AttrId>(tree_.num_attributes()); ++a) {
-      context.current_attrs[tree_.attributes().NameOf(a)] = tree_.attr(a, u);
-    }
-    return context;
-  }
-
-  NodeId ApplyMove(NodeId u, Move move) const {
-    switch (move) {
-      case Move::kStay:
-        return u;
-      case Move::kLeft:
-        return tree_.PrevSibling(u);
-      case Move::kRight:
-        return tree_.NextSibling(u);
-      case Move::kUp:
-        return tree_.Parent(u);
-      case Move::kDown:
-        return tree_.FirstChild(u);
-    }
-    return kNoNode;
-  }
-
   const Program& program_;
   const Tree& tree_;
   const std::vector<int>& owner_;
   const ProtocolOptions& options_;
-  std::vector<Symbol> labels_;
-  std::set<std::string> exact_keys_;
+  const RuleDispatch dispatch_;
   std::map<ConfigKey, CallOutcome> memo_;
   std::set<std::string> requests_sent_;
   std::vector<ProtocolMessage> transcript_;

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/automata/step.h"
 #include "src/logic/tree_eval.h"
 #include "src/relstore/store_eval.h"
 #include "src/tree/delimited.h"
@@ -26,14 +27,10 @@ class GraphEvaluator {
  public:
   GraphEvaluator(const Program& program, const Tree& tree,
                  const RunOptions& options)
-      : program_(program), tree_(tree), options_(options) {
-    for (const Rule& rule : program.rules()) {
-      labels_.push_back(rule.label == "*" ? -2 : tree.FindLabel(rule.label));
-      if (rule.label != "*") {
-        exact_keys_.insert(rule.state + "\x1f" + rule.label);
-      }
-    }
-  }
+      : program_(program),
+        tree_(tree),
+        options_(options),
+        dispatch_(program.rules(), tree) {}
 
   Result<ConfigGraphResult> Run() {
     TREEWALK_ASSIGN_OR_RETURN(
@@ -86,7 +83,9 @@ class GraphEvaluator {
       if (!visited.insert(config).second) break;  // cycle: reject
       seen_configs_.insert(config);
 
-      TREEWALK_ASSIGN_OR_RETURN(const Rule* rule, FindRule(u, state, store));
+      TREEWALK_ASSIGN_OR_RETURN(
+          const Rule* rule,
+          FindRule(program_, dispatch_, tree_, u, state, store));
       if (rule == nullptr) break;  // stuck: reject
       if (++steps_ > options_.max_steps) {
         return ResourceExhausted("exceeded max_steps");
@@ -96,7 +95,7 @@ class GraphEvaluator {
       bool rejected = false;
       switch (action.kind) {
         case Action::Kind::kMove: {
-          NodeId v = ApplyMove(u, action.move);
+          NodeId v = MoveFrom(tree_, u, action.move);
           if (v == kNoNode) {
             rejected = true;
             break;
@@ -105,7 +104,7 @@ class GraphEvaluator {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeContext(u, store);
+          StoreContext context = MakeStoreContext(tree_, u, store);
           TREEWALK_ASSIGN_OR_RETURN(
               Relation updated,
               EvalStoreFormula(context, action.update, action.update_vars));
@@ -144,63 +143,10 @@ class GraphEvaluator {
     return outcome;
   }
 
-  Result<const Rule*> FindRule(NodeId u, const std::string& state,
-                               const Store& store) {
-    Symbol label = tree_.label(u);
-    bool shadowed =
-        exact_keys_.count(state + "\x1f" + tree_.LabelName(label)) > 0;
-    const Rule* found = nullptr;
-    StoreContext context = MakeContext(u, store);
-    for (std::size_t i = 0; i < program_.rules().size(); ++i) {
-      const Rule& rule = program_.rules()[i];
-      if (rule.state != state) continue;
-      if (rule.label == "*") {
-        if (shadowed) continue;
-      } else if (labels_[i] != label) {
-        continue;
-      }
-      TREEWALK_ASSIGN_OR_RETURN(bool holds,
-                                EvalStoreSentence(context, rule.guard));
-      if (!holds) continue;
-      if (found != nullptr) {
-        return Nondeterminism("two rules apply in state " + state);
-      }
-      found = &rule;
-    }
-    return found;
-  }
-
-  StoreContext MakeContext(NodeId u, const Store& store) const {
-    StoreContext context;
-    context.store = &store;
-    context.values = &tree_.values();
-    for (AttrId a = 0; a < static_cast<AttrId>(tree_.num_attributes()); ++a) {
-      context.current_attrs[tree_.attributes().NameOf(a)] = tree_.attr(a, u);
-    }
-    return context;
-  }
-
-  NodeId ApplyMove(NodeId u, Move move) const {
-    switch (move) {
-      case Move::kStay:
-        return u;
-      case Move::kLeft:
-        return tree_.PrevSibling(u);
-      case Move::kRight:
-        return tree_.NextSibling(u);
-      case Move::kUp:
-        return tree_.Parent(u);
-      case Move::kDown:
-        return tree_.FirstChild(u);
-    }
-    return kNoNode;
-  }
-
   const Program& program_;
   const Tree& tree_;
   const RunOptions& options_;
-  std::vector<Symbol> labels_;
-  std::set<std::string> exact_keys_;
+  const RuleDispatch dispatch_;
   std::map<ConfigKey, CallOutcome> memo_;
   std::set<ConfigKey> seen_configs_;
   std::int64_t steps_ = 0;

@@ -1,10 +1,10 @@
 #include "src/simulation/logspace_sim.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "src/automata/step.h"
 #include "src/simulation/pebbles.h"
 #include "src/tree/delimited.h"
 
@@ -43,13 +43,7 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
   const int head = planes;
   PebbleMachine pebbles(tree, planes + 1);
 
-  // Pre-resolve labels and shadowing, mirroring the direct engine.
-  std::vector<Symbol> labels;
-  std::set<std::string> exact_keys;
-  for (const XtmTransition& t : machine.transitions) {
-    labels.push_back(t.label == "*" ? -2 : tree.FindLabel(t.label));
-    if (t.label != "*") exact_keys.insert(t.state + "\x1f" + t.label);
-  }
+  const RuleDispatch dispatch(machine.transitions, tree);
 
   LogspaceSimResult result;
   result.tape_cells = 1;
@@ -86,18 +80,9 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
     TREEWALK_ASSIGN_OR_RETURN(int read, read_symbol());
 
     // Find the unique applicable transition.
-    Symbol label = tree.label(node);
-    bool shadowed =
-        exact_keys.count(state + "\x1f" + tree.LabelName(label)) > 0;
     const XtmTransition* found = nullptr;
-    for (std::size_t i = 0; i < machine.transitions.size(); ++i) {
+    for (std::size_t i : dispatch.Candidates(state, tree.label(node))) {
       const XtmTransition& t = machine.transitions[i];
-      if (t.state != state) continue;
-      if (t.label == "*") {
-        if (shadowed) continue;
-      } else if (labels[i] != label) {
-        continue;
-      }
       if (t.read != -1 && t.read != read) continue;
       if (found != nullptr) {
         return Nondeterminism("two transitions apply in state " + state);
@@ -113,24 +98,7 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
       return ResourceExhausted("simulated xTM exceeded max_steps");
     }
 
-    // Tree move.
-    NodeId v = node;
-    switch (found->tree_move) {
-      case Move::kStay:
-        break;
-      case Move::kLeft:
-        v = tree.PrevSibling(node);
-        break;
-      case Move::kRight:
-        v = tree.NextSibling(node);
-        break;
-      case Move::kUp:
-        v = tree.Parent(node);
-        break;
-      case Move::kDown:
-        v = tree.FirstChild(node);
-        break;
-    }
+    NodeId v = MoveFrom(tree, node, found->tree_move);
     if (v == kNoNode) {
       result.accepted = false;
       result.walk_steps = pebbles.steps();

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
 #include <tuple>
 #include <vector>
 
+#include "src/automata/step.h"
 #include "src/tree/delimited.h"
 
 namespace treewalk {
@@ -26,10 +26,11 @@ struct Config {
 class XtmEngine {
  public:
   XtmEngine(const Xtm& machine, const Tree& tree, const XtmOptions& options)
-      : machine_(machine), tree_(tree), options_(options) {
+      : machine_(machine),
+        tree_(tree),
+        options_(options),
+        dispatch_(machine.transitions, tree) {
     for (const XtmTransition& t : machine.transitions) {
-      labels_.push_back(t.label == "*" ? -2 : tree.FindLabel(t.label));
-      if (t.label != "*") exact_keys_.insert(t.state + "\x1f" + t.label);
       attr_ids_.push_back(
           t.guard.kind == XtmGuard::Kind::kNone
               ? kNoAttr
@@ -52,18 +53,9 @@ class XtmEngine {
   Status ApplicableTransitions(const Config& c,
                                std::vector<std::size_t>& out) const {
     out.clear();
-    Symbol label = tree_.label(c.node);
-    bool shadowed =
-        exact_keys_.count(c.state + "\x1f" + tree_.LabelName(label)) > 0;
     int read = c.head < c.tape.size() ? c.tape[c.head] : 0;
-    for (std::size_t i = 0; i < machine_.transitions.size(); ++i) {
+    for (std::size_t i : dispatch_.Candidates(c.state, tree_.label(c.node))) {
       const XtmTransition& t = machine_.transitions[i];
-      if (t.state != c.state) continue;
-      if (t.label == "*") {
-        if (shadowed) continue;
-      } else if (labels_[i] != label) {
-        continue;
-      }
       if (t.read != -1 && t.read != read) continue;
       if (t.guard.kind != XtmGuard::Kind::kNone) {
         if (attr_ids_[i] == kNoAttr) {
@@ -86,24 +78,7 @@ class XtmEngine {
   /// tree or the tape head falls off the left end (that branch rejects).
   bool Apply(std::size_t index, Config& c, std::size_t& space) const {
     const XtmTransition& t = machine_.transitions[index];
-    // Tree move.
-    NodeId v = c.node;
-    switch (t.tree_move) {
-      case Move::kStay:
-        break;
-      case Move::kLeft:
-        v = tree_.PrevSibling(c.node);
-        break;
-      case Move::kRight:
-        v = tree_.NextSibling(c.node);
-        break;
-      case Move::kUp:
-        v = tree_.Parent(c.node);
-        break;
-      case Move::kDown:
-        v = tree_.FirstChild(c.node);
-        break;
-    }
+    NodeId v = MoveFrom(tree_, c.node, t.tree_move);
     if (v == kNoNode) return false;
     c.node = v;
     // Tape write.
@@ -142,8 +117,7 @@ class XtmEngine {
   const Xtm& machine_;
   const Tree& tree_;
   const XtmOptions& options_;
-  std::vector<Symbol> labels_;
-  std::set<std::string> exact_keys_;
+  const RuleDispatch dispatch_;
   std::vector<AttrId> attr_ids_;
   std::vector<AttrId> load_attr_ids_;
 };
