@@ -2,6 +2,8 @@
 
 #include "src/automata/builder.h"
 #include "src/automata/interpreter.h"
+#include "src/protocol/protocol.h"
+#include "src/simulation/config_graph.h"
 #include "src/tree/term_io.h"
 
 namespace treewalk {
@@ -264,6 +266,15 @@ TEST(Interpreter, RuntimeNondeterminismDetected) {
   ASSERT_TRUE(p.ok());
   auto r = Accepts(*p, T("a"));
   EXPECT_EQ(r.status().code(), StatusCode::kNondeterminism);
+  EXPECT_EQ(r.status().message(),
+            "rules for (#top, q0) both apply: guards exists u (X(u) & "
+            "u = 1) and exists u X(u)");
+  // Every executor shares the one rule lookup, so the config graph and
+  // the protocol report the same error, word for word.
+  auto graph = EvaluateViaConfigGraph(*p, T("a"));
+  EXPECT_EQ(graph.status(), r.status());
+  auto protocol = RunSplitProtocol(*p, {1}, {2}, -1);
+  EXPECT_EQ(protocol.status(), r.status());
 }
 
 TEST(Interpreter, ComplementaryGuardsAreDeterministic) {
@@ -329,6 +340,10 @@ TEST(Interpreter, WildcardShadowedByExactRule) {
   EXPECT_TRUE(r->accepted);
   // 3 transitions: down, right, stay-accept.
   EXPECT_EQ(r->stats.steps, 3);
+  auto graph = EvaluateViaConfigGraph(*p, T("a(b)"));
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  EXPECT_EQ(graph->accepted, r->accepted);
+  EXPECT_EQ(graph->steps, r->stats.steps);
 }
 
 TEST(Interpreter, LookAheadUnionsSubcomputationResults) {
