@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 namespace treewalk {
@@ -54,6 +55,25 @@ void AppendView(const SliceView& v, std::vector<NodeSpan>& out) {
   for (std::size_t i = 0; i < v.count; ++i) out.push_back(ViewAt(v, i));
 }
 
+/// First index k >= from whose visible span ends after x; a binary
+/// search, valid because clamping keeps ends sorted.
+std::size_t SeekEndAfter(const SliceView& v, std::size_t from, NodeId x) {
+  return static_cast<std::size_t>(
+      std::partition_point(
+          v.spans + from, v.spans + v.count,
+          [&](const NodeSpan& s) { return std::min(s.end, v.ce) <= x; }) -
+      v.spans);
+}
+
+/// First index k >= from whose visible span begins after x.
+std::size_t SeekBeginAfter(const SliceView& v, std::size_t from, NodeId x) {
+  return static_cast<std::size_t>(
+      std::partition_point(
+          v.spans + from, v.spans + v.count,
+          [&](const NodeSpan& s) { return std::max(s.begin, v.cb) <= x; }) -
+      v.spans);
+}
+
 /// out = [0, n) \ a, for normalized `a`.
 void ComplementInto(const std::vector<NodeSpan>& a, NodeId n,
                     std::vector<NodeSpan>& out) {
@@ -65,78 +85,102 @@ void ComplementInto(const std::vector<NodeSpan>& a, NodeId n,
   if (cur < n) out.push_back({cur, n});
 }
 
-/// out = a ∩ b.  Iterates the shorter list, jumping into the longer
-/// with a rolling binary search: O(min·log max + |out|).
-void IntersectInto(const std::vector<NodeSpan>& a,
-                   const std::vector<NodeSpan>& b,
+// The three merges below read both operands in place through their
+// clip windows and append a normalized result to `out`.  Each walks
+// the view with fewer spans and reaches into the other by rolling
+// binary search, so a row costs O(min log max + |out|) whatever the
+// longer view holds.
+
+/// out = a ∩ b.
+void IntersectViews(const SliceView& a, const SliceView& b,
+                    std::vector<NodeSpan>& out) {
+  const SliceView& small = a.count <= b.count ? a : b;
+  const SliceView& big = a.count <= b.count ? b : a;
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < small.count; ++i) {
+    const NodeSpan s = ViewAt(small, i);
+    j = SeekEndAfter(big, j, s.begin);
+    for (std::size_t k = j; k < big.count; ++k) {
+      const NodeSpan t = ViewAt(big, k);
+      if (t.begin >= s.end) break;
+      out.push_back({std::max(s.begin, t.begin), std::min(s.end, t.end)});
+    }
+  }
+}
+
+/// out = a \ b.  With fewer spans in `a`, each span of `a` is cut at
+/// the holes of `b` inside it; otherwise each hole of `b` copies the
+/// spans of `a` before it, cuts the one it straddles, and skips the
+/// ones it swallows.
+void SubtractViews(const SliceView& a, const SliceView& b,
                    std::vector<NodeSpan>& out) {
-  const std::vector<NodeSpan>* small = &a;
-  const std::vector<NodeSpan>* big = &b;
-  if (small->size() > big->size()) std::swap(small, big);
-  std::size_t j = 0;
-  for (const NodeSpan& s : *small) {
-    j = static_cast<std::size_t>(
-        std::partition_point(
-            big->begin() + static_cast<std::ptrdiff_t>(j), big->end(),
-            [&](const NodeSpan& t) { return t.end <= s.begin; }) -
-        big->begin());
-    for (std::size_t k = j; k < big->size() && (*big)[k].begin < s.end; ++k) {
-      NodeId lo = std::max(s.begin, (*big)[k].begin);
-      NodeId hi = std::min(s.end, (*big)[k].end);
-      if (lo < hi) out.push_back({lo, hi});
-    }
-  }
-}
-
-/// out = a \ b: each span of `a` with the overlapping holes of `b`
-/// cut out.  O(|a| + overlap + log); |out| >= |a| - |b| keeps it
-/// output-bounded.
-void SubtractInto(const std::vector<NodeSpan>& a,
-                  const std::vector<NodeSpan>& b,
-                  std::vector<NodeSpan>& out) {
-  std::size_t j = 0;
-  for (const NodeSpan& s : a) {
-    j = static_cast<std::size_t>(
-        std::partition_point(
-            b.begin() + static_cast<std::ptrdiff_t>(j), b.end(),
-            [&](const NodeSpan& t) { return t.end <= s.begin; }) -
-        b.begin());
-    NodeId cur = s.begin;
-    std::size_t k = j;
-    while (cur < s.end) {
-      if (k < b.size() && b[k].begin < s.end) {
-        if (b[k].begin > cur) out.push_back({cur, b[k].begin});
-        cur = std::max(cur, b[k].end);
-        if (b[k].end <= s.end) {
-          ++k;
-        } else {
-          break;
-        }
-      } else {
-        out.push_back({cur, s.end});
-        cur = s.end;
+  if (a.count <= b.count) {
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < a.count; ++i) {
+      const NodeSpan s = ViewAt(a, i);
+      j = SeekEndAfter(b, j, s.begin);
+      NodeId cur = s.begin;
+      for (std::size_t k = j; k < b.count && cur < s.end; ++k) {
+        const NodeSpan hole = ViewAt(b, k);
+        if (hole.begin >= s.end) break;
+        if (hole.begin > cur) out.push_back({cur, hole.begin});
+        cur = hole.end;
       }
+      if (cur < s.end) out.push_back({cur, s.end});
     }
+    return;
+  }
+  std::size_t i = 0;
+  NodeId floor = 0;  // end of the last hole: nothing of `a` shows below it
+  for (std::size_t k = 0; k < b.count; ++k) {
+    const NodeSpan hole = ViewAt(b, k);
+    for (; i < a.count; ++i) {
+      const NodeSpan s = ViewAt(a, i);
+      const NodeId begin = std::max(s.begin, floor);
+      if (begin >= hole.begin) break;
+      out.push_back({begin, std::min(s.end, hole.begin)});
+      if (s.end > hole.begin) break;  // straddles the hole; its tail stays
+    }
+    i = SeekEndAfter(a, i, hole.end);
+    floor = hole.end;
+  }
+  for (; i < a.count; ++i) {
+    const NodeSpan s = ViewAt(a, i);
+    out.push_back({std::max(s.begin, floor), s.end});
   }
 }
 
-/// out = a ∪ b; linear merge, coalescing overlap and adjacency.
-void UnionInto(const std::vector<NodeSpan>& a, const std::vector<NodeSpan>& b,
-               std::vector<NodeSpan>& out) {
-  std::size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    NodeSpan s;
-    if (j >= b.size() || (i < a.size() && a[i].begin <= b[j].begin)) {
-      s = a[i++];
-    } else {
-      s = b[j++];
-    }
+/// out = a ∪ b, coalescing overlap and adjacency.  Spans of the longer
+/// view that touch a span of the shorter one are skipped by binary
+/// search, since only the first and last of them shape the union.
+void UnionViews(const SliceView& a, const SliceView& b,
+                std::vector<NodeSpan>& out) {
+  const SliceView& small = a.count <= b.count ? a : b;
+  const SliceView& big = a.count <= b.count ? b : a;
+  const auto append = [&out](const NodeSpan& s) {
     if (!out.empty() && s.begin <= out.back().end) {
       out.back().end = std::max(out.back().end, s.end);
     } else {
       out.push_back(s);
     }
+  };
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < small.count; ++i) {
+    NodeSpan s = ViewAt(small, i);
+    for (; j < big.count; ++j) {
+      const NodeSpan t = ViewAt(big, j);
+      if (t.end >= s.begin) break;
+      append(t);
+    }
+    const std::size_t k = SeekBeginAfter(big, j, s.end);
+    if (k > j) {
+      s.begin = std::min(s.begin, ViewAt(big, j).begin);
+      s.end = std::max(s.end, ViewAt(big, k - 1).end);
+      j = k;
+    }
+    append(s);
   }
+  for (; j < big.count; ++j) append(ViewAt(big, j));
 }
 
 std::array<std::uint64_t, 3> PackRow(const IntervalMatrix::Row& r) {
@@ -147,6 +191,23 @@ std::array<std::uint64_t, 3> PackRow(const IntervalMatrix::Row& r) {
            << 32) |
               (r.complemented ? 1u : 0u)};
 }
+
+/// Hashed memo from packed row descriptors to the result row they
+/// produced.
+struct PackedRowsHash {
+  template <std::size_t N>
+  std::size_t operator()(const std::array<std::uint64_t, N>& words) const {
+    std::uint64_t h = 0;
+    for (std::uint64_t w : words) {
+      h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+template <std::size_t N>
+using RowMemo = std::unordered_map<std::array<std::uint64_t, N>,
+                                   IntervalMatrix::Row, PackedRowsHash>;
 
 /// Chunk-charged append-only span pool: Reserve() charges rounded-up
 /// capacity *before* the vector grows, so a budget trip happens before
@@ -391,8 +452,8 @@ Result<IntervalMatrix> IntervalMatrix::Combine(const IntervalMatrix& a,
   m.pools_.push_back(nullptr);  // slot 0: owned pool, installed at the end
   PoolImporter importer(m.pools_);
   ChargedSpanPool owned(charge);
-  std::map<std::array<std::uint64_t, 6>, Row> memo;
-  std::vector<NodeSpan> bufa, bufb, out;
+  RowMemo<6> memo;
+  std::vector<NodeSpan> out;
 
   auto alias_of = [&](const IntervalMatrix& src, const Row& r) {
     Row copy = r;
@@ -406,6 +467,59 @@ Result<IntervalMatrix> IntervalMatrix::Combine(const IntervalMatrix& a,
   for (NodeId u = 0; u < nn; ++u) {
     const Row& ra = a.rows_[static_cast<std::size_t>(u)];
     const Row& rb = b.rows_[static_cast<std::size_t>(u)];
+    SliceView va = MakeView(a.pools_, ra);
+    SliceView vb = MakeView(b.pools_, rb);
+    const bool fa = ra.complemented, fb = rb.complemented;
+    const bool ea = va.count == 0, eb = vb.count == 0;
+
+    Row& result = m.rows_[static_cast<std::size_t>(u)];
+    if (conjunction) {
+      if ((ea && !fa) || (eb && !fb)) {  // one side logically empty
+        result = kEmptyRow;
+        continue;
+      }
+      if (ea && fa) {  // a is full
+        result = alias_of(b, rb);
+        continue;
+      }
+      if (eb && fb) {  // b is full
+        result = alias_of(a, ra);
+        continue;
+      }
+    } else {
+      if ((ea && fa) || (eb && fb)) {  // one side logically full
+        result = full_row;
+        continue;
+      }
+      if (ea && !fa) {  // a is empty
+        result = alias_of(b, rb);
+        continue;
+      }
+      if (eb && !fb) {  // b is empty
+        result = alias_of(a, ra);
+        continue;
+      }
+    }
+    if (fa == fb && ra.count > 0 && rb.count > 0 &&
+        a.pools_[ra.pool].get() == b.pools_[rb.pool].get() &&
+        ra.offset == rb.offset && ra.count == rb.count &&
+        ra.clip_begin == rb.clip_begin && ra.clip_end == rb.clip_end) {
+      result = alias_of(a, ra);  // identical operand rows; idempotent op
+      continue;
+    }
+    if (conjunction && !fa && !fb && (va.count == 1 || vb.count == 1)) {
+      // Single-span ∧ positive row: narrow the other row's clip window
+      // and alias its pool — the desc/anc ∧ broadcast workhorse.
+      const NodeSpan s = ViewAt(va.count == 1 ? va : vb, 0);
+      result = va.count == 1 ? alias_of(b, rb) : alias_of(a, ra);
+      result.clip_begin = std::max(result.clip_begin, s.begin);
+      result.clip_end = std::min(result.clip_end, s.end);
+      continue;
+    }
+
+    // Only rows that need a merge reach the memo: repeated operand row
+    // pairs (broadcast against broadcast) are merged once and share
+    // one slice of the owned pool.
     std::array<std::uint64_t, 6> key;
     {
       auto ka = PackRow(ra);
@@ -413,113 +527,34 @@ Result<IntervalMatrix> IntervalMatrix::Combine(const IntervalMatrix& a,
       std::copy(ka.begin(), ka.end(), key.begin());
       std::copy(kb.begin(), kb.end(), key.begin() + 3);
     }
-    auto found = memo.find(key);
-    if (found != memo.end()) {
-      m.rows_[static_cast<std::size_t>(u)] = found->second;
+    auto [memo_it, fresh] = memo.try_emplace(key);
+    if (!fresh) {
+      result = memo_it->second;
       continue;
     }
-
-    SliceView va = MakeView(a.pools_, ra);
-    SliceView vb = MakeView(b.pools_, rb);
-    const bool fa = ra.complemented, fb = rb.complemented;
-    const bool ea = va.count == 0, eb = vb.count == 0;
-
-    Row result;
-    bool computed = false;
-    if (conjunction) {
-      if ((ea && !fa) || (eb && !fb)) {  // one side logically empty
-        result = kEmptyRow;
-        computed = true;
-      } else if (ea && fa) {  // a is full
-        result = alias_of(b, rb);
-        computed = true;
-      } else if (eb && fb) {  // b is full
-        result = alias_of(a, ra);
-        computed = true;
-      }
+    // a ∨ b = ¬(¬a ∧ ¬b): the disjunction runs the conjunction's
+    // merge on flipped flags and complements the result.
+    const bool na = conjunction ? fa : !fa;
+    const bool nb = conjunction ? fb : !fb;
+    out.clear();
+    if (!na && !nb) {
+      IntersectViews(va, vb, out);
+    } else if (!na) {
+      SubtractViews(va, vb, out);
+    } else if (!nb) {
+      SubtractViews(vb, va, out);
     } else {
-      if ((ea && fa) || (eb && fb)) {  // one side logically full
-        result = full_row;
-        computed = true;
-      } else if (ea && !fa) {  // a is empty
-        result = alias_of(b, rb);
-        computed = true;
-      } else if (eb && !fb) {  // b is empty
-        result = alias_of(a, ra);
-        computed = true;
-      }
+      UnionViews(va, vb, out);
     }
-    if (!computed && fa == fb && ra.count > 0 && rb.count > 0 &&
-        a.pools_[ra.pool].get() == b.pools_[rb.pool].get() &&
-        ra.offset == rb.offset && ra.count == rb.count &&
-        ra.clip_begin == rb.clip_begin && ra.clip_end == rb.clip_end) {
-      result = alias_of(a, ra);  // identical operand rows; idempotent op
-      computed = true;
-    }
-    if (!computed && conjunction && !fa && !fb) {
-      // Single-span ∧ positive row: narrow the other row's clip window
-      // and alias its pool — the desc/anc ∧ broadcast workhorse.
-      if (va.count == 1) {
-        NodeSpan s = ViewAt(va, 0);
-        result = alias_of(b, rb);
-        result.clip_begin = std::max(result.clip_begin, s.begin);
-        result.clip_end = std::min(result.clip_end, s.end);
-        computed = true;
-      } else if (vb.count == 1) {
-        NodeSpan s = ViewAt(vb, 0);
-        result = alias_of(a, ra);
-        result.clip_begin = std::max(result.clip_begin, s.begin);
-        result.clip_end = std::min(result.clip_end, s.end);
-        computed = true;
-      }
-    }
-    if (!computed) {
-      bufa.clear();
-      bufb.clear();
-      out.clear();
-      AppendView(va, bufa);
-      AppendView(vb, bufb);
-      bool complemented;
-      if (conjunction) {
-        if (!fa && !fb) {
-          IntersectInto(bufa, bufb, out);
-          complemented = false;
-        } else if (!fa && fb) {
-          SubtractInto(bufa, bufb, out);
-          complemented = false;
-        } else if (fa && !fb) {
-          SubtractInto(bufb, bufa, out);
-          complemented = false;
-        } else {
-          UnionInto(bufa, bufb, out);
-          complemented = true;
-        }
-      } else {
-        if (!fa && !fb) {
-          UnionInto(bufa, bufb, out);
-          complemented = false;
-        } else if (!fa && fb) {
-          SubtractInto(bufb, bufa, out);
-          complemented = true;
-        } else if (fa && !fb) {
-          SubtractInto(bufa, bufb, out);
-          complemented = true;
-        } else {
-          IntersectInto(bufa, bufb, out);
-          complemented = true;
-        }
-      }
-      TREEWALK_RETURN_IF_ERROR(owned.Reserve(out.size()));
-      result.pool = 0;
-      result.offset = static_cast<std::uint32_t>(owned.spans.size());
-      result.count = static_cast<std::uint32_t>(out.size());
-      result.clip_begin = 0;
-      result.clip_end = nn;
-      result.complemented = complemented;
-      owned.spans.insert(owned.spans.end(), out.begin(), out.end());
-    }
-    m.rows_[static_cast<std::size_t>(u)] = result;
-    memo.emplace(key, result);
+    TREEWALK_RETURN_IF_ERROR(owned.Reserve(out.size()));
+    result.pool = 0;
+    result.offset = static_cast<std::uint32_t>(owned.spans.size());
+    result.count = static_cast<std::uint32_t>(out.size());
+    result.clip_begin = 0;
+    result.clip_end = nn;
+    result.complemented = (na && nb) != !conjunction;
+    owned.spans.insert(owned.spans.end(), out.begin(), out.end());
+    memo_it->second = result;
   }
   m.pools_[0] = std::make_shared<Pool>(std::move(owned.spans));
   return m;
@@ -612,7 +647,7 @@ Result<IntervalMatrix> IntervalMatrix::Compose(const IntervalMatrix& p,
   m.pools_.push_back(nullptr);
   PoolImporter importer(m.pools_);
   ChargedSpanPool owned(charge);
-  std::map<std::array<std::uint64_t, 3>, Row> memo;
+  RowMemo<3> memo;
   std::vector<NodeSpan> rowbuf, concat, out;
 
   for (NodeId u = 0; u < nn; ++u) {

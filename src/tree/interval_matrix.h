@@ -93,9 +93,13 @@ class IntervalMatrix {
 
   /// Complement of every row: O(n), shares all pools with `a`.
   static IntervalMatrix Not(const IntervalMatrix& a);
-  /// Row-wise intersection / union.  Cost per row is
-  /// O(min log max + output) via clip-aliasing and small-side-driven
-  /// merges; identical operand row pairs are computed once.
+  /// Row-wise intersection / union.  A row that is empty, full or
+  /// identical on one side, or (for And) one span wide, aliases an
+  /// operand row with a narrowed clip window: O(log) and no new spans.
+  /// Every other row is merged reading both operands in place, walking
+  /// the one with fewer spans and binary-searching the other, so it
+  /// costs O(min log max + output) however long the other row is.
+  /// Operand row pairs that repeat are merged once (a hashed memo).
   static Result<IntervalMatrix> And(const IntervalMatrix& a,
                                     const IntervalMatrix& b,
                                     ScopedMemoryCharge* charge);
