@@ -4,8 +4,9 @@
 // Shared body of the axis-interval differential fuzzer: decode any byte
 // string into a valid tree (TreeFromBytes), build the axis index, and
 // cross-check every interval-encoded axis against its dense oracle plus
-// the pre/post-order numbering invariant and one compiled selector in
-// both representations.  Driven by fuzz_axis_interval.cc under
+// the pre/post-order numbering invariant, the interval And/Or merges
+// against their dense twins, and one compiled selector in both
+// representations.  Driven by fuzz_axis_interval.cc under
 // libFuzzer and replayed over the seed corpus by fuzz_corpus_test.cc in
 // tier-1 builds.  Returns true iff every cross-check agrees; the tree
 // decode itself can never fail, so any false is a found bug.
@@ -54,6 +55,44 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
       if ((u < v && rank[v] < rank[u]) != t.IsStrictAncestor(u, v)) {
         return false;
       }
+    }
+  }
+
+  // And/Or against a column broadcast of each label, the shapes
+  // Example 3.2's selector compiles to: desc ∧ lab(y) narrows a single
+  // span's clip window, E ∧ lab(y) intersects a multi-span row with the
+  // long label row, and E ∨ ¬lab(y) subtracts the one from the other.
+  Result<const IntervalMatrix*> desc = index.TryDescendantIntervals();
+  Result<const IntervalMatrix*> edge = index.TryEdgeIntervals();
+  if (!desc.ok() || !edge.ok()) return false;
+  const auto merge_agrees = [](Result<IntervalMatrix> merged,
+                               const NodeMatrix& dense) {
+    return merged.ok() && merged->ToDense() == dense;
+  };
+  for (const char* label : {"a", "b", "c"}) {
+    const NodeSet& labelled = index.LabelSet(label);
+    Result<IntervalMatrix> broadcast =
+        IntervalMatrix::ColBroadcast(labelled, nullptr);
+    if (!broadcast.ok()) return false;
+    NodeMatrix dense_broadcast(t.size());
+    for (NodeId u = 0; u < n; ++u) dense_broadcast.RowUnion(u, labelled);
+
+    NodeMatrix desc_and = index.DescendantMatrix();
+    desc_and.Intersect(dense_broadcast);
+    NodeMatrix edge_and = index.EdgeMatrix();
+    edge_and.Intersect(dense_broadcast);
+    NodeMatrix edge_or_not = dense_broadcast;
+    edge_or_not.Complement();
+    edge_or_not.Union(index.EdgeMatrix());
+    if (!merge_agrees(IntervalMatrix::And(*desc.value(), *broadcast, nullptr),
+                      desc_and) ||
+        !merge_agrees(IntervalMatrix::And(*edge.value(), *broadcast, nullptr),
+                      edge_and) ||
+        !merge_agrees(IntervalMatrix::Or(*edge.value(),
+                                         IntervalMatrix::Not(*broadcast),
+                                         nullptr),
+                      edge_or_not)) {
+      return false;
     }
   }
 
