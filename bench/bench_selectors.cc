@@ -41,6 +41,11 @@ constexpr const char* kNested =
     "exists z (E(x, z) & exists w (E(z, w) & desc(w, y)))";
 constexpr const char* kGuardedForall =
     "exists z (desc(x, z) & E(z, y) & forall w (E(z, w) -> lab(w, a)))";
+// Example 3.2's atp() selector (with lab b): its compile conjoins E
+// with a column broadcast of one label's span list, a long row under
+// every row of E.
+constexpr const char* kExample32 =
+    "exists z (desc(x, y) & E(y, z) & lab(z, b))";
 
 Tree Input(int n) {
   std::mt19937 rng(97);
@@ -326,6 +331,11 @@ BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_dense, kChain,
 BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_interval, kChain,
                   AxisRepr::kInterval)
     ->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
+// The scaling of the And/Or merges: a 4x larger tree should cost about
+// 4x, not 16x, once no row copies the broadcast operand.
+BENCHMARK_CAPTURE(BM_SelectorReprColdStart, example32_interval, kExample32,
+                  AxisRepr::kInterval)
+    ->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_MillionNodeSelector, chain_tree, ChainInput, kChain,
                   GreatGrandchildren)
