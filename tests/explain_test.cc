@@ -3,7 +3,8 @@
 // function of (tree, selector, flags), so the full output is held
 // byte-for-byte against committed golden files — any change to the
 // format, the cost model, or the estimates shows up as a reviewable
-// golden diff.
+// golden diff.  The --timing section is held the same way once its
+// measured nanoseconds and recalibrated constants are masked.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -63,6 +65,16 @@ TEST(ExplainGolden, XPathPlanMatchesGoldenFile) {
   const std::string got =
       Explain("examples/trees/uniform.term --xpath '//*' --evals");
   EXPECT_EQ(got, Golden("explain_xpath.txt"));
+}
+
+TEST(ExplainGolden, TimingAnswersAllNodesForEveryStrategy) {
+  // --origin 2 narrows the plan, not the timing: every strategy
+  // answers all six nodes, and the line says so.
+  std::string got = Explain(
+      "examples/trees/uniform.term --xpath '//*' --origin 2 --timing");
+  got = std::regex_replace(got, std::regex("=[0-9]+ns"), "=<ns>");
+  got = std::regex_replace(got, std::regex("(_cost)=[-+.0-9e]+"), "$1=<c>");
+  EXPECT_EQ(got, Golden("explain_timing.txt"));
 }
 
 TEST(ExplainGolden, OutputIsDeterministic) {

@@ -15,9 +15,10 @@
 //       cost estimates, the chosen plan, and per-operator cardinality
 //       estimates.  --evals executes the chosen plan from --origin
 //       (default: the root) and prints measured vs estimated rows.
-//       --timing times every candidate strategy and prints rescaled
-//       calibration constants (output is nondeterministic; everything
-//       else explain prints is byte-stable for golden tests).
+//       --timing times every candidate strategy answering every node
+//       as an origin and prints rescaled calibration constants (the
+//       times are nondeterministic; everything else explain prints is
+//       byte-stable for golden tests).
 //   twq cat <expression> <tree.{term,xml}>
 //       Evaluate a caterpillar expression from the root.
 //   twq batch <manifest> [--jobs N] [--max-steps M] [--quiet]
@@ -494,13 +495,25 @@ int CmdExplain(int argc, char** argv) {
                   op.selectivity, op.exact ? " exact" : "");
     }
 
-    // One evaluation of a strategy from `origin`; compiled declines
-    // surface as a non-OK status and are reported, not fatal.
-    auto run_strategy =
-        [&](tw::PlanStrategy s) -> tw::Result<std::vector<tw::NodeId>> {
+    // Answers every origin in `origins` with one strategy; the compiled
+    // strategies compile once and read one row per origin.  Compiled
+    // declines surface as a non-OK status and are reported, not fatal.
+    using Answers = std::vector<std::vector<tw::NodeId>>;
+    auto run_strategy = [&](tw::PlanStrategy s,
+                            const std::vector<tw::NodeId>& origins)
+        -> tw::Result<Answers> {
+      Answers answers;
       switch (s) {
         case tw::PlanStrategy::kReference:
-          return tw::SelectNodes(*tree, item.formula, origin);
+        case tw::PlanStrategy::kXPathDirect:
+          for (tw::NodeId u : origins) {
+            auto one = s == tw::PlanStrategy::kReference
+                           ? tw::SelectNodes(*tree, item.formula, u)
+                           : tw::EvalXPath(*tree, *xpath, u);
+            if (!one.ok()) return one.status();
+            answers.push_back(std::move(one).value());
+          }
+          return answers;
         case tw::PlanStrategy::kCompiledDense:
         case tw::PlanStrategy::kCompiledInterval: {
           tw::AxisIndex index(*tree, nullptr);
@@ -510,10 +523,11 @@ int CmdExplain(int argc, char** argv) {
               s == tw::PlanStrategy::kCompiledDense ? tw::AxisRepr::kDense
                                                     : tw::AxisRepr::kInterval);
           if (!compiled.ok()) return compiled.status();
-          return compiled->SelectFrom(origin);
+          for (tw::NodeId u : origins) {
+            answers.push_back(compiled->SelectFrom(u));
+          }
+          return answers;
         }
-        case tw::PlanStrategy::kXPathDirect:
-          return tw::EvalXPath(*tree, *xpath, origin);
       }
       return tw::InvalidArgument("unknown strategy");
     };
@@ -521,13 +535,14 @@ int CmdExplain(int argc, char** argv) {
     if (evals) {
       const double est_per_origin =
           plan.estimated_rows / std::max<double>(1.0, stats->nodes);
-      auto result = run_strategy(plan.strategy);
+      auto result = run_strategy(plan.strategy, {origin});
       if (result.ok()) {
         std::printf(
             "  evals: strategy=%s origin=%lld result=%zu node(s) "
             "estimated-per-origin=%.4g\n",
             tw::PlanStrategyName(plan.strategy),
-            static_cast<long long>(origin), result->size(), est_per_origin);
+            static_cast<long long>(origin), result->front().size(),
+            est_per_origin);
       } else if (plan.strategy != tw::PlanStrategy::kReference) {
         auto fallback = tw::SelectNodes(*tree, item.formula, origin);
         if (!fallback.ok()) {
@@ -544,8 +559,19 @@ int CmdExplain(int argc, char** argv) {
     }
 
     if (timing) {
+      // Every strategy answers the same origins — all nodes — so the
+      // times compare like work, and they are held against costs
+      // planned for that origin count whatever --origin says.
+      std::vector<tw::NodeId> all_nodes(tree->size());
+      for (std::size_t u = 0; u < all_nodes.size(); ++u) {
+        all_nodes[u] = static_cast<tw::NodeId>(u);
+      }
+      tw::PlanOptions timed_opts = popts;
+      timed_opts.expected_origins = -1.0;
+      const tw::SelectorPlan timed_plan =
+          tw::PlanSelector(*stats, item.formula, cal, timed_opts);
       std::vector<tw::StrategyMeasurement> measured;
-      std::printf("  timing:");
+      std::printf("  timing: origins=%zu", all_nodes.size());
       std::vector<tw::PlanStrategy> candidates = {
           tw::PlanStrategy::kReference, tw::PlanStrategy::kCompiledDense,
           tw::PlanStrategy::kCompiledInterval};
@@ -554,7 +580,7 @@ int CmdExplain(int argc, char** argv) {
       }
       for (tw::PlanStrategy s : candidates) {
         const auto start = std::chrono::steady_clock::now();
-        auto result = run_strategy(s);
+        auto result = run_strategy(s, all_nodes);
         const auto end = std::chrono::steady_clock::now();
         if (!result.ok()) {
           std::printf(" %s=declined", tw::PlanStrategyName(s));
@@ -568,7 +594,7 @@ int CmdExplain(int argc, char** argv) {
       }
       std::printf("\n");
       const tw::PlannerCalibration tuned =
-          tw::RecalibrateFromMeasurements(cal, plan, measured);
+          tw::RecalibrateFromMeasurements(cal, timed_plan, measured);
       std::printf(
           "  recalibrated: reference_visit_cost=%.4g dense_word_cost=%.4g "
           "interval_span_cost=%.4g xpath_step_cost=%.4g\n",
