@@ -44,8 +44,9 @@ struct Operand {
   NodeMatrix model;
 };
 
-std::uint32_t Draw(std::mt19937& rng, std::uint32_t bound) {
-  return static_cast<std::uint32_t>(rng() % bound);
+// A draw in [0, bound) straight from the engine's output.
+NodeId Draw(std::mt19937& rng, std::size_t bound) {
+  return static_cast<NodeId>(rng() % bound);
 }
 
 IntervalMatrix Value(Result<IntervalMatrix> r) {
@@ -94,14 +95,14 @@ Bits Window(Bits bits, NodeId begin, NodeId end) {
 // Sorted spans in [0, n) with short random gaps and lengths; a zero
 // gap makes two spans adjacent, which the builder must coalesce.
 std::vector<NodeSpan> RandomSpans(std::mt19937& rng, NodeId n,
-                                  std::uint32_t max_spans) {
+                                  std::size_t max_spans) {
   std::vector<NodeSpan> spans;
-  NodeId cur = static_cast<NodeId>(Draw(rng, 4));
-  const std::uint32_t want = Draw(rng, max_spans + 1);
+  NodeId cur = Draw(rng, 4);
+  const std::size_t want = Draw(rng, max_spans + 1);
   while (spans.size() < want && cur < n) {
-    NodeId end = std::min<NodeId>(n, cur + 1 + static_cast<NodeId>(Draw(rng, 3)));
+    NodeId end = std::min<NodeId>(n, cur + 1 + Draw(rng, 3));
     spans.push_back({cur, end});
-    cur = end + static_cast<NodeId>(Draw(rng, 4));
+    cur = end + Draw(rng, 4);
   }
   return spans;
 }
@@ -114,8 +115,8 @@ std::vector<NodeSpan> AlternatingSpans(NodeId n, NodeId phase) {
 }
 
 std::pair<NodeId, NodeId> RandomWindow(std::mt19937& rng, NodeId n) {
-  NodeId b = static_cast<NodeId>(Draw(rng, static_cast<std::uint32_t>(n)));
-  NodeId e = b + 1 + static_cast<NodeId>(Draw(rng, static_cast<std::uint32_t>(n - b)));
+  NodeId b = Draw(rng, n);
+  NodeId e = b + 1 + Draw(rng, n - b);
   return {b, e};
 }
 
@@ -123,7 +124,7 @@ NodeSet RandomSet(std::mt19937& rng, NodeId n) {
   NodeSet s(static_cast<std::size_t>(n));
   switch (Draw(rng, 4)) {
     case 0:  // long: every other node
-      for (NodeId v = static_cast<NodeId>(Draw(rng, 2)); v < n; v += 2) s.set(v);
+      for (NodeId v = Draw(rng, 2); v < n; v += 2) s.set(v);
       break;
     case 1:  // empty
       break;
@@ -157,7 +158,7 @@ Operand BuilderOperand(std::mt19937& rng, NodeId n) {
     if (!complemented) positive.push_back(u);
   };
   for (NodeId u = 0; u < n; ++u) {
-    std::uint32_t kind = Draw(rng, 10);
+    NodeId kind = Draw(rng, 10);
     if ((kind == 6 || kind == 7) && positive.empty()) kind = 0;
     switch (kind) {
       case 0: case 1: case 2: case 3:  // spans, one in four complemented
@@ -175,14 +176,14 @@ Operand BuilderOperand(std::mt19937& rng, NodeId n) {
         commit(u, {}, true);
         break;
       case 6: {  // verbatim alias
-        NodeId v = positive[Draw(rng, static_cast<std::uint32_t>(positive.size()))];
+        NodeId v = positive[Draw(rng, positive.size())];
         EXPECT_TRUE(builder.AliasRow(u, v).ok());
         AssignRow(op.model, u, ModelRow(op.model, v));
         positive.push_back(u);
         break;
       }
       case 7: {  // windowed alias
-        NodeId v = positive[Draw(rng, static_cast<std::uint32_t>(positive.size()))];
+        NodeId v = positive[Draw(rng, positive.size())];
         auto [b, e] = RandomWindow(rng, n);
         EXPECT_TRUE(builder.AliasRowWindow(u, v, b, e).ok());
         AssignRow(op.model, u, Window(ModelRow(op.model, v), b, e));
@@ -190,7 +191,7 @@ Operand BuilderOperand(std::mt19937& rng, NodeId n) {
         break;
       }
       default:  // long row
-        commit(u, AlternatingSpans(n, static_cast<NodeId>(Draw(rng, 2))), false);
+        commit(u, AlternatingSpans(n, Draw(rng, 2)), false);
         break;
     }
   }
@@ -198,7 +199,22 @@ Operand BuilderOperand(std::mt19937& rng, NodeId n) {
   return op;
 }
 
-NodeMatrix DenseAnd(const NodeMatrix& a, const NodeMatrix& b, bool conjunction) {
+// interval_matrix.h promises normalized rows: sorted, non-empty,
+// disjoint and non-adjacent spans.  ToDense cannot see a stray empty
+// or overlapping span, so the results are checked for this too.
+bool Normalized(const IntervalMatrix& m) {
+  for (NodeId u = 0; u < static_cast<NodeId>(m.size()); ++u) {
+    const std::vector<NodeSpan> spans = m.RowSpans(u);
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].begin >= spans[i].end) return false;
+      if (i > 0 && spans[i].begin <= spans[i - 1].end) return false;
+    }
+  }
+  return true;
+}
+
+NodeMatrix DenseAnd(const NodeMatrix& a, const NodeMatrix& b,
+                    bool conjunction) {
   const NodeId n = static_cast<NodeId>(a.size());
   NodeMatrix out(a.size());
   for (NodeId u = 0; u < n; ++u) {
@@ -254,7 +270,7 @@ NodeMatrix DenseCompose(const NodeMatrix& p, const NodeMatrix& q,
 // A random operand: builder rows, broadcasts, or (while depth lasts)
 // Not/And/Or/Transposed of smaller random operands.
 Operand RandomOperand(std::mt19937& rng, NodeId n, int depth) {
-  std::uint32_t kind = Draw(rng, depth > 0 ? 7 : 3);
+  const NodeId kind = Draw(rng, depth > 0 ? 7 : 3);
   switch (kind) {
     case 0:
       return BuilderOperand(rng, n);
@@ -312,12 +328,14 @@ void CheckCombine(const Operand& a, const Operand& b) {
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const Operand& x = *pairs[i].first;
     const Operand& y = *pairs[i].second;
-    EXPECT_EQ(Value(IntervalMatrix::And(x.m, y.m, nullptr)).ToDense(),
-              DenseAnd(x.model, y.model, true))
+    const IntervalMatrix conj = Value(IntervalMatrix::And(x.m, y.m, nullptr));
+    const IntervalMatrix disj = Value(IntervalMatrix::Or(x.m, y.m, nullptr));
+    EXPECT_EQ(conj.ToDense(), DenseAnd(x.model, y.model, true))
         << "And, pair " << i;
-    EXPECT_EQ(Value(IntervalMatrix::Or(x.m, y.m, nullptr)).ToDense(),
-              DenseAnd(x.model, y.model, false))
+    EXPECT_EQ(disj.ToDense(), DenseAnd(x.model, y.model, false))
         << "Or, pair " << i;
+    EXPECT_TRUE(Normalized(conj)) << "And, pair " << i;
+    EXPECT_TRUE(Normalized(disj)) << "Or, pair " << i;
   }
 }
 
@@ -338,6 +356,9 @@ TEST(IntervalAlgebra, AndOrMatchDenseLoopsInAllComplementCases) {
     for (int round = 0; round < rounds; ++round) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " round " << round);
       CheckCombine(RandomOperand(rng, n, 2), RandomOperand(rng, n, 2));
+      // Builder against builder: clipped multi-span rows on both sides,
+      // which nested random operands rarely pair up.
+      CheckCombine(BuilderOperand(rng, n), BuilderOperand(rng, n));
     }
   }
 }
@@ -366,8 +387,9 @@ TEST(IntervalAlgebra, TransposedMatchesDenseLoops) {
     for (int round = 0; round < 12; ++round) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " round " << round);
       Operand a = RandomOperand(rng, n, 2);
-      EXPECT_EQ(Value(IntervalMatrix::Transposed(a.m, nullptr)).ToDense(),
-                DenseTranspose(a.model));
+      const IntervalMatrix t = Value(IntervalMatrix::Transposed(a.m, nullptr));
+      EXPECT_EQ(t.ToDense(), DenseTranspose(a.model));
+      EXPECT_TRUE(Normalized(t));
     }
   }
 }
@@ -380,12 +402,14 @@ TEST(IntervalAlgebra, ComposeMatchesDenseLoopsWithAndWithoutGuard) {
       Operand p = RandomOperand(rng, n, 1);
       Operand q = RandomOperand(rng, n, 1);
       NodeSet guard = RandomSet(rng, n);
-      EXPECT_EQ(Value(IntervalMatrix::Compose(p.m, q.m, nullptr, nullptr))
-                    .ToDense(),
-                DenseCompose(p.model, q.model, nullptr));
-      EXPECT_EQ(Value(IntervalMatrix::Compose(p.m, q.m, &guard, nullptr))
-                    .ToDense(),
-                DenseCompose(p.model, q.model, &guard));
+      const IntervalMatrix plain =
+          Value(IntervalMatrix::Compose(p.m, q.m, nullptr, nullptr));
+      const IntervalMatrix guarded =
+          Value(IntervalMatrix::Compose(p.m, q.m, &guard, nullptr));
+      EXPECT_EQ(plain.ToDense(), DenseCompose(p.model, q.model, nullptr));
+      EXPECT_EQ(guarded.ToDense(), DenseCompose(p.model, q.model, &guard));
+      EXPECT_TRUE(Normalized(plain));
+      EXPECT_TRUE(Normalized(guarded));
     }
   }
 }
