@@ -331,8 +331,9 @@ BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_dense, kChain,
 BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_interval, kChain,
                   AxisRepr::kInterval)
     ->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
-// The scaling of the And/Or merges: a 4x larger tree should cost about
-// 4x, not 16x, once no row copies the broadcast operand.
+// Tracks the scaling of the And/Or merges: a 4x larger tree should
+// cost about 4x, not 16x as it would if each row of E paid for the
+// whole broadcast label row.
 BENCHMARK_CAPTURE(BM_SelectorReprColdStart, example32_interval, kExample32,
                   AxisRepr::kInterval)
     ->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);

@@ -417,8 +417,9 @@ TEST(IntervalAlgebra, ComposeMatchesDenseLoopsWithAndWithoutGuard) {
 TEST(IntervalAlgebra, GovernedAndOrChargeTheRecordedBytes) {
   // The governor charge of And/Or is part of the contract: row
   // descriptors up front, then the owned span pool in 32768-span
-  // chunks.  The figure was recorded with the reference kernel; a
-  // faster merge must charge the same bytes and give the same rows.
+  // chunks.  Both figures were recorded when each merge still copied
+  // its operand rows; any merge must charge the same bytes and store
+  // the same spans.
   std::mt19937 rng(6);
   ResourceGovernor governor;
   governor.set_memory_budget(std::int64_t{1} << 30);
