@@ -213,8 +213,8 @@ bool Normalized(const IntervalMatrix& m) {
   return true;
 }
 
-NodeMatrix DenseAnd(const NodeMatrix& a, const NodeMatrix& b,
-                    bool conjunction) {
+NodeMatrix DenseCombine(const NodeMatrix& a, const NodeMatrix& b,
+                        bool conjunction) {
   const NodeId n = static_cast<NodeId>(a.size());
   NodeMatrix out(a.size());
   for (NodeId u = 0; u < n; ++u) {
@@ -312,7 +312,7 @@ Operand RandomOperand(std::mt19937& rng, NodeId n, int depth) {
       IntervalMatrix m =
           Value(conjunction ? IntervalMatrix::And(a.m, b.m, nullptr)
                             : IntervalMatrix::Or(a.m, b.m, nullptr));
-      return {std::move(m), DenseAnd(a.model, b.model, conjunction)};
+      return {std::move(m), DenseCombine(a.model, b.model, conjunction)};
     }
   }
 }
@@ -330,9 +330,9 @@ void CheckCombine(const Operand& a, const Operand& b) {
     const Operand& y = *pairs[i].second;
     const IntervalMatrix conj = Value(IntervalMatrix::And(x.m, y.m, nullptr));
     const IntervalMatrix disj = Value(IntervalMatrix::Or(x.m, y.m, nullptr));
-    EXPECT_EQ(conj.ToDense(), DenseAnd(x.model, y.model, true))
+    EXPECT_EQ(conj.ToDense(), DenseCombine(x.model, y.model, true))
         << "And, pair " << i;
-    EXPECT_EQ(disj.ToDense(), DenseAnd(x.model, y.model, false))
+    EXPECT_EQ(disj.ToDense(), DenseCombine(x.model, y.model, false))
         << "Or, pair " << i;
     EXPECT_TRUE(Normalized(conj)) << "And, pair " << i;
     EXPECT_TRUE(Normalized(disj)) << "Or, pair " << i;
@@ -440,7 +440,7 @@ TEST(IntervalAlgebra, GovernedAndOrChargeTheRecordedBytes) {
           charged += governor.accountant()->used() - before;
           stored += m.StoredSpans();
           const NodeMatrix lhs_model = negate ? DenseNot(a.model) : a.model;
-          EXPECT_EQ(m.ToDense(), DenseAnd(lhs_model, b.model, conjunction));
+          EXPECT_EQ(m.ToDense(), DenseCombine(lhs_model, b.model, conjunction));
         }
       }
     }
