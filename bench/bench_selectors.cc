@@ -89,7 +89,8 @@ void BM_CompiledSelector(benchmark::State& state, const char* selector) {
   Formula phi = std::move(ParseFormula(selector)).value();
   std::vector<NodeId> origins = Origins(t);
   AxisIndex index(t);
-  Result<CompiledSelector> compiled = CompileSelector(index, phi);
+  Result<CompiledSelector> compiled =
+      CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
   if (!compiled.ok()) {
     state.SkipWithError(compiled.status().ToString().c_str());
     return;
@@ -131,7 +132,8 @@ void BM_CompiledSelectorColdStart(benchmark::State& state,
   std::size_t selected = 0;
   for (auto _ : state) {
     AxisIndex index(t);
-    Result<CompiledSelector> compiled = CompileSelector(index, phi);
+    Result<CompiledSelector> compiled =
+        CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -237,7 +239,7 @@ void BM_SelectorReprColdStart(benchmark::State& state, const char* selector,
     Result<CompiledSelector> interval =
         CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
     Result<CompiledSelector> dense =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+      CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
     if (!interval.ok() || !dense.ok()) {
       state.SkipWithError("cross-check compile failed");
       return;

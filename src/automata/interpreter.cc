@@ -25,16 +25,6 @@
 
 namespace treewalk {
 
-const char* PlanModeName(PlanMode m) {
-  switch (m) {
-    case PlanMode::kAuto:
-      return "auto";
-    case PlanMode::kFixed:
-      return "fixed";
-  }
-  return "?";
-}
-
 const char* RejectReasonName(RejectReason r) {
   switch (r) {
     case RejectReason::kNone:
@@ -117,17 +107,17 @@ struct InterpMetrics {
       m->picks_reference = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
           "Cost-based planner strategy picks, one per distinct selector "
-          "planned under PlanMode::kAuto",
+          "per run",
           {{"strategy", "reference"}});
       m->picks_dense = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
           "Cost-based planner strategy picks, one per distinct selector "
-          "planned under PlanMode::kAuto",
+          "per run",
           {{"strategy", "compiled-dense"}});
       m->picks_interval = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
           "Cost-based planner strategy picks, one per distinct selector "
-          "planned under PlanMode::kAuto",
+          "per run",
           {{"strategy", "compiled-interval"}});
       m->compiled_eval_us = r.FindOrCreateHistogram(
           "treewalk_interp_selector_eval_us",
@@ -368,45 +358,32 @@ class Runner {
     if (options_.compile_selectors) {
       auto it = compiled_.find(canonical_id);
       if (it == compiled_.end()) {
-        // Pick the strategy for this selector.  kAuto consults the
-        // cost-based planner (src/logic/planner.h) once per canonical
-        // selector; kFixed keeps the legacy always-compile,
-        // size-threshold behavior.  A reference pick is remembered as
-        // an empty compiled slot, exactly like a compiler decline, so
-        // later evaluations skip straight to SelectNodes.
-        AxisRepr repr = options_.axis_repr;
-        if (options_.plan_mode == PlanMode::kAuto) {
-          if (!tree_stats_.has_value()) {
-            TreeStats scratch;
-            tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
-          }
-          PlanOptions plan_opts;
-          plan_opts.forced_repr = options_.axis_repr;
-          const SelectorPlan plan = PlanSelector(
-              *tree_stats_, selector,
-              options_.planner_calibration != nullptr
-                  ? *options_.planner_calibration
-                  : PlannerCalibration{},
-              plan_opts);
-          switch (plan.strategy) {
-            case PlanStrategy::kReference:
-              ++stats_.planner_picks_reference;
-              compiled_.emplace(canonical_id, std::nullopt);
-              break;
-            case PlanStrategy::kCompiledDense:
-              ++stats_.planner_picks_dense;
-              repr = plan.repr;
-              break;
-            case PlanStrategy::kCompiledInterval:
-            case PlanStrategy::kXPathDirect:  // never offered here
-              ++stats_.planner_picks_interval;
-              repr = plan.repr;
-              break;
-          }
-          if (plan.strategy == PlanStrategy::kReference) {
+        // The cost-based planner (src/logic/planner.h) picks the
+        // strategy once per canonical selector.  A reference pick is
+        // remembered as an empty compiled slot, exactly like a compiler
+        // decline, so later evaluations skip straight to SelectNodes.
+        if (!tree_stats_.has_value()) {
+          TreeStats scratch;
+          tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
+        }
+        const SelectorPlan plan = PlanSelector(
+            *tree_stats_, selector,
+            options_.planner_calibration != nullptr
+                ? *options_.planner_calibration
+                : PlannerCalibration{});
+        switch (plan.strategy) {
+          case PlanStrategy::kReference: {
+            ++stats_.planner_picks_reference;
+            compiled_.emplace(canonical_id, std::nullopt);
             ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
             return SelectNodes(tree_, selector, origin);
           }
+          case PlanStrategy::kCompiledDense:
+            ++stats_.planner_picks_dense;
+            break;
+          case PlanStrategy::kCompiledInterval:
+            ++stats_.planner_picks_interval;
+            break;
         }
         if (!axis_index_.has_value()) {
           axis_index_.emplace(tree_, options_.governor);
@@ -420,7 +397,7 @@ class Runner {
           tree_hash_ = TreeContentHash(tree_);
         }
         Result<CompiledSelector> compiled = CompileSelectorCached(
-            *axis_index_, selector, "x", "y", repr,
+            *axis_index_, selector, "x", "y", plan.repr,
             options_.selector_disk_cache, tree_hash_.value_or(0));
         if (!compiled.ok() &&
             (compiled.status().code() == StatusCode::kResourceExhausted ||
@@ -526,8 +503,8 @@ class Runner {
   std::map<SelectorKey, std::vector<NodeId>> selector_cache_;
   std::optional<AxisIndex> axis_index_;
   std::optional<std::uint64_t> tree_hash_;  // lazy; disk-cache key half
-  /// Lazy tree statistics for PlanMode::kAuto (snapshot-preloaded or
-  /// one O(n) scan, computed at the first selector planned this run).
+  /// Lazy tree statistics for the planner (snapshot-preloaded or one
+  /// O(n) scan, computed at the first selector planned this run).
   std::optional<TreeStats> tree_stats_;
   /// Per-canonical-selector compile result: absent = untried, nullopt =
   /// compiler declined (reference fallback), value = compiled.

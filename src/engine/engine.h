@@ -113,12 +113,12 @@ struct EngineStats {
   std::int64_t selector_cache_hits = 0;
   std::int64_t selector_cache_misses = 0;
   std::int64_t compiled_selector_evals = 0;
-  /// compiled_selector_evals split by matrix representation
-  /// (RunOptions::axis_repr).
+  /// compiled_selector_evals split by matrix representation (the
+  /// planner's pick).
   std::int64_t interval_selector_evals = 0;
   std::int64_t dense_selector_evals = 0;
-  /// Cost-based planner strategy picks under PlanMode::kAuto (one per
-  /// distinct selector per run; all zero under kFixed).
+  /// Cost-based planner strategy picks (one per distinct selector per
+  /// run; all zero with compile_selectors off).
   std::int64_t planner_picks_reference = 0;
   std::int64_t planner_picks_dense = 0;
   std::int64_t planner_picks_interval = 0;

@@ -124,8 +124,7 @@ class CompiledSelector {
   /// keeping the selector alive charges its memory budget.
   std::int64_t RetainedBytes() const;
 
-  /// Which matrix representation this selector was compiled under:
-  /// kDense or kInterval (never kAuto — resolved at compile time),
+  /// Which matrix representation this selector was compiled under,
   /// reported even when the result degenerated to a set or constant.
   AxisRepr repr() const { return repr_; }
 

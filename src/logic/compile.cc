@@ -54,8 +54,7 @@ class Compiler {
  public:
   Compiler(const AxisIndex& index, AxisRepr repr)
       : index_(index), tree_(index.tree()), n_(index.size()),
-        governor_(index.governor()),
-        repr_(ResolveAxisRepr(repr, index.size())) {}
+        governor_(index.governor()), repr_(repr) {}
 
   Result<CompiledSelector> Selector(const Formula& formula,
                                     const std::string& x,
@@ -923,7 +922,7 @@ class Compiler {
   const Tree& tree_;
   std::size_t n_;
   ResourceGovernor* governor_ = nullptr;
-  AxisRepr repr_ = AxisRepr::kDense;  ///< resolved; never kAuto
+  AxisRepr repr_ = AxisRepr::kDense;
 
   std::vector<Op> ops_;
   std::map<std::array<std::uint64_t, 4>, int> cse_;

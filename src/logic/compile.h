@@ -40,20 +40,20 @@ namespace treewalk {
 /// Free variables must be within {x, y} (either may be unused).
 ///
 /// `repr` picks the Mat-shape carrier for the whole compilation: dense
-/// NodeMatrix rows or interval-encoded rows (kAuto resolves by tree
-/// size, see ResolveAxisRepr).  Both produce byte-identical SelectFrom
-/// answers; they differ only in space (O(n^2) vs O(n·spans)) and in
-/// which op costs dominate.
+/// NodeMatrix rows or interval-encoded rows (runs compile under the
+/// planner's SelectorPlan::repr).  Both produce byte-identical
+/// SelectFrom answers; they differ only in space (O(n^2) vs
+/// O(n·spans)) and in which op costs dominate.
 Result<CompiledSelector> CompileSelector(const AxisIndex& index,
                                          const Formula& formula,
-                                         const std::string& x = "x",
-                                         const std::string& y = "y",
-                                         AxisRepr repr = AxisRepr::kAuto);
+                                         const std::string& x,
+                                         const std::string& y,
+                                         AxisRepr repr);
 
 /// Compiles and evaluates a sentence (no free variables).
 Result<CompiledSentence> CompileSentence(const AxisIndex& index,
                                          const Formula& formula,
-                                         AxisRepr repr = AxisRepr::kAuto);
+                                         AxisRepr repr);
 
 }  // namespace treewalk
 

@@ -317,8 +317,6 @@ const char* PlanStrategyName(PlanStrategy s) {
       return "compiled-dense";
     case PlanStrategy::kCompiledInterval:
       return "compiled-interval";
-    case PlanStrategy::kXPathDirect:
-      return "xpath-direct";
   }
   return "?";
 }
@@ -384,34 +382,15 @@ SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
       cal.interval_span_cost * (ops * n * spans + origins * spans) +
       compile_overhead;
 
-  // --- XPath direct (only when the selector arrived as a path). -----
-  if (opts.offer_xpath) {
-    const double steps = std::max(1, opts.xpath_steps);
-    plan.cost_xpath = cal.xpath_step_cost * steps * n * origins;
-  }
-
-  const bool dense_allowed = opts.forced_repr != AxisRepr::kInterval;
-  const bool interval_allowed = opts.forced_repr != AxisRepr::kDense;
-
   // Deterministic argmin with a fixed preference order for exact ties:
-  // reference, dense, interval, xpath.
-  plan.strategy = PlanStrategy::kReference;
-  plan.repr = AxisRepr::kAuto;
-  double best = plan.cost_reference;
-  if (dense_allowed && plan.cost_dense < best) {
-    best = plan.cost_dense;
-    plan.strategy = PlanStrategy::kCompiledDense;
-    plan.repr = AxisRepr::kDense;
-  }
-  if (interval_allowed && plan.cost_interval < best) {
-    best = plan.cost_interval;
-    plan.strategy = PlanStrategy::kCompiledInterval;
-    plan.repr = AxisRepr::kInterval;
-  }
-  if (opts.offer_xpath && plan.cost_xpath >= 0.0 && plan.cost_xpath < best) {
-    best = plan.cost_xpath;
-    plan.strategy = PlanStrategy::kXPathDirect;
-    plan.repr = AxisRepr::kAuto;
+  // reference, dense, interval.  The cheaper representation is kept
+  // even when reference wins.
+  const bool interval = plan.cost_interval < plan.cost_dense;
+  plan.repr = interval ? AxisRepr::kInterval : AxisRepr::kDense;
+  const double compiled = interval ? plan.cost_interval : plan.cost_dense;
+  if (compiled < plan.cost_reference) {
+    plan.strategy = interval ? PlanStrategy::kCompiledInterval
+                             : PlanStrategy::kCompiledDense;
   }
   return plan;
 }
@@ -436,10 +415,6 @@ PlannerCalibration RecalibrateFromMeasurements(
       case PlanStrategy::kCompiledInterval:
         predicted = plan.cost_interval;
         constant = &out.interval_span_cost;
-        break;
-      case PlanStrategy::kXPathDirect:
-        predicted = plan.cost_xpath;
-        constant = &out.xpath_step_cost;
         break;
     }
     if (constant == nullptr || predicted <= 0.0) continue;

@@ -14,18 +14,16 @@ namespace treewalk {
 /// Cost-based strategy selection for selector evaluation
 /// (docs/PLANNER.md).
 ///
-/// The engine has four ways to answer "which nodes satisfy phi(x, y)
+/// The engine has three ways to answer "which nodes satisfy phi(x, y)
 /// from origin u":
 ///   - the reference arena evaluator (per-origin recursive search),
 ///   - the compiled bitset path with dense NodeMatrix rows,
-///   - the compiled bitset path with interval-encoded rows,
-///   - the direct XPath evaluator (only when the query arrived as an
-///     XPath path rather than a formula).
-/// Historically the choice was hard-coded (always compile; dense below
-/// kDenseAxisNodeLimit nodes, interval above).  The planner replaces
-/// those fixed switches with one decision point: cheap exact tree
-/// statistics (TreeStats) plus structural formula features feed a
-/// per-strategy cost estimate, and the cheapest strategy wins.
+///   - the compiled bitset path with interval-encoded rows.
+/// PlanSelector is the one place that chooses among them: cheap exact
+/// tree statistics (TreeStats) plus structural formula features feed a
+/// per-strategy cost estimate, and the cheapest strategy wins.  Nothing
+/// else picks a strategy or a representation; callers that need a
+/// particular one price the others out with a PlannerCalibration.
 ///
 /// The planner is advisory about *performance*, never about
 /// *correctness*: all strategies agree byte-for-byte (the differential
@@ -45,10 +43,9 @@ enum class PlanStrategy {
   kReference = 0,
   kCompiledDense,
   kCompiledInterval,
-  kXPathDirect,
 };
 
-/// "reference", "compiled-dense", "compiled-interval", "xpath-direct".
+/// "reference", "compiled-dense", "compiled-interval".
 const char* PlanStrategyName(PlanStrategy s);
 
 /// Structural features of a selector, extracted in one AST walk.
@@ -88,9 +85,8 @@ FormulaFeatures AnalyzeFormula(const Formula& f);
 
 /// Unit costs, in arbitrary "work units" (roughly: one word of bitset
 /// algebra = 1).  The defaults are chosen so that on a span-1 axis
-/// workload the dense/interval crossover lands at n = 4096 nodes —
-/// exactly the legacy kDenseAxisNodeLimit — making the planner a strict
-/// generalization of the old fixed switch.  `twq explain --timing`
+/// workload the dense/interval crossover lands at n = 4096 nodes, where
+/// the dense matrix outgrows ~2MiB.  `twq explain --timing`
 /// measures real strategies and prints rescaled constants
 /// (RecalibrateFromMeasurements); nothing updates these globally.
 struct PlannerCalibration {
@@ -100,8 +96,6 @@ struct PlannerCalibration {
   double dense_word_cost = 1.0;
   /// Compiled interval: cost per span per row of range algebra.
   double interval_span_cost = 64.0;
-  /// XPath direct: cost per node per location step.
-  double xpath_step_cost = 4.0;
   /// One-time compile overhead per op (normalization, hash-consing).
   double compile_op_cost = 32.0;
 
@@ -121,15 +115,14 @@ struct OperatorEstimate {
 
 struct SelectorPlan {
   PlanStrategy strategy = PlanStrategy::kReference;
-  /// Representation to request from the compiler when strategy is a
-  /// compiled one (kDense or kInterval, never kAuto); kAuto otherwise.
-  AxisRepr repr = AxisRepr::kAuto;
+  /// The cheaper compiled representation, on every plan (reference
+  /// picks included): the one to compile when strategy is compiled.
+  AxisRepr repr = AxisRepr::kDense;
   FormulaFeatures features;
-  /// Estimated total work units per strategy (xpath only when offered).
+  /// Estimated total work units per strategy.
   double cost_reference = 0.0;
   double cost_dense = 0.0;
   double cost_interval = 0.0;
-  double cost_xpath = -1.0;  ///< -1 when XPath direct was not a candidate
   /// Estimated satisfier pairs of the whole selector phi(x, y).
   double estimated_rows = 0.0;
   /// Per-subformula estimates, pre-order over the AST.
@@ -141,14 +134,6 @@ struct PlanOptions {
   /// from.  The interpreter does not know this upfront and uses the
   /// node count (every-node worst case); `twq explain --origin` uses 1.
   double expected_origins = -1.0;  ///< -1: default to stats.nodes
-  /// Offer the direct XPath evaluator as a candidate (only meaningful
-  /// when the selector was derived from an XPath path).
-  bool offer_xpath = false;
-  /// Location steps of the originating XPath path (for cost_xpath).
-  int xpath_steps = 0;
-  /// Respect a caller-forced representation: kDense/kInterval restrict
-  /// the compiled candidates to that one representation.
-  AxisRepr forced_repr = AxisRepr::kAuto;
 };
 
 /// Plans evaluation of `selector` (free variables within {x, y})

@@ -369,7 +369,7 @@ Result<CompiledSelector> CompileSelectorCached(
   SelectorCacheKey key;
   key.formula_hash = StableFormulaHash(formula, x, y);
   key.tree_hash = tree_hash;
-  key.repr = ResolveAxisRepr(repr, index.size());
+  key.repr = repr;
   Result<CompiledSelector> cached = cache->Load(key);
   if (cached.ok()) {
     CacheMetrics::Get().hits->Increment();

@@ -26,7 +26,7 @@ namespace treewalk {
 ///   tree_hash      TreeContentHash() of the tree compiled against;
 ///   version        kSnapshotVersion (bumping the snapshot format
 ///                  invalidates cached selectors too);
-///   repr           the *resolved* AxisRepr (dense and interval
+///   repr           the AxisRepr compiled under (dense and interval
 ///                  payloads differ).
 ///
 /// Entries are written atomically (tmp+rename), CRC-checked per
@@ -84,9 +84,9 @@ class SelectorDiskCache {
   std::string dir_;
 };
 
-/// CompileSelector with a read-through disk cache: resolves `repr`
-/// against the tree size, tries `cache` (when non-null), and falls back
-/// to compiling — storing the fresh result best-effort.  A cache
+/// CompileSelector with a read-through disk cache: tries `cache` (when
+/// non-null) for the entry compiled under `repr`, and falls back to
+/// compiling — storing the fresh result best-effort.  A cache
 /// failure of any kind (missing, stale, corrupt, injected fault) only
 /// costs the compile it would have saved; hits, misses, stores, and
 /// fallbacks are counted in the metrics registry

@@ -124,7 +124,7 @@ struct ServerCounters {
   /// Completed corpus generation swaps (SwapCorpus calls).
   std::atomic<std::int64_t> reloads{0};
   /// Cost-based planner strategy picks accumulated from served queries'
-  /// RunStats (PlanMode::kAuto; see src/logic/planner.h).
+  /// RunStats (see src/logic/planner.h).
   std::atomic<std::int64_t> planner_picks_reference{0};
   std::atomic<std::int64_t> planner_picks_dense{0};
   std::atomic<std::int64_t> planner_picks_interval{0};

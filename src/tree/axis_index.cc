@@ -9,30 +9,6 @@
 
 namespace treewalk {
 
-const char* AxisReprName(AxisRepr repr) {
-  switch (repr) {
-    case AxisRepr::kAuto:
-      return "auto";
-    case AxisRepr::kInterval:
-      return "interval";
-    case AxisRepr::kDense:
-      return "dense";
-  }
-  return "auto";
-}
-
-std::optional<AxisRepr> ParseAxisRepr(std::string_view name) {
-  if (name == "auto") return AxisRepr::kAuto;
-  if (name == "interval") return AxisRepr::kInterval;
-  if (name == "dense") return AxisRepr::kDense;
-  return std::nullopt;
-}
-
-AxisRepr ResolveAxisRepr(AxisRepr requested, std::size_t n) {
-  if (requested != AxisRepr::kAuto) return requested;
-  return n <= kDenseAxisNodeLimit ? AxisRepr::kDense : AxisRepr::kInterval;
-}
-
 namespace {
 
 /// Word-level mask helpers shared by NodeSet and NodeMatrix rows.

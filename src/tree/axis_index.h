@@ -18,32 +18,20 @@ namespace treewalk {
 class IntervalMatrix;  // src/tree/interval_matrix.h
 
 /// How axis relations and compiled-selector matrices are represented.
+/// The cost-based planner (src/logic/planner.h) picks one per selector.
 ///
 ///   - kDense: n-by-n bitset NodeMatrix rows (O(n^2) bytes, O(1) bit
 ///     tests, word-parallel row algebra) — unbeatable at small n.
 ///   - kInterval: pre-order span lists per row (O(n) bytes for every
 ///     tau axis, range algebra) — the only representation that reaches
 ///     the million-node target.
-///   - kAuto: pick per tree size (ResolveAxisRepr).
+///
+/// The values are persisted in compiled-selector cache entries
+/// (src/logic/selector_cache.h); 0 is deliberately not a repr.
 enum class AxisRepr {
-  kAuto = 0,
-  kInterval,
-  kDense,
+  kInterval = 1,
+  kDense = 2,
 };
-
-/// "auto" / "interval" / "dense".
-const char* AxisReprName(AxisRepr repr);
-/// Inverse of AxisReprName; nullopt for unknown spellings.
-std::optional<AxisRepr> ParseAxisRepr(std::string_view name);
-
-/// Trees at or below this node count stay dense under kAuto: the whole
-/// matrix fits in ~2MiB, word-parallel ops win, and existing small-tree
-/// behavior (and perf baselines) are preserved.
-inline constexpr std::size_t kDenseAxisNodeLimit = 4096;
-
-/// Resolves kAuto against the tree size; returns the request verbatim
-/// otherwise.
-AxisRepr ResolveAxisRepr(AxisRepr requested, std::size_t n);
 
 /// Dense bitset over Dom(t): one bit per NodeId, packed 64 per word.
 /// Because nodes are stored in document order, iterating set bits from

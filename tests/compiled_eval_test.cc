@@ -223,13 +223,17 @@ TEST(CompiledSelector, DeclinesGracefully) {
   AxisIndex index(tree);
   // Missing attribute: the reference errors, so the compiler declines
   // and callers fall back to get the identical error.
-  EXPECT_FALSE(CompileSelector(index, Parse("val(nope, y) = 1")).ok());
+  EXPECT_FALSE(CompileSelector(index, Parse("val(nope, y) = 1"), "x", "y",
+                               AxisRepr::kDense)
+                   .ok());
   EXPECT_FALSE(SelectNodes(tree, Parse("val(nope, y) = 1"), 0).ok());
   // Free variable outside {x, y}.
-  EXPECT_FALSE(CompileSelector(index, Parse("desc(x, q)")).ok());
+  EXPECT_FALSE(CompileSelector(index, Parse("desc(x, q)"), "x", "y",
+                               AxisRepr::kDense)
+                   .ok());
   // Genuinely width-3 subformula: no two-variable materialization.
   Formula wide = Parse("exists z (E(x, z) & E(z, y) & desc(x, y))");
-  auto compiled = CompileSelector(index, wide);
+  auto compiled = CompileSelector(index, wide, "x", "y", AxisRepr::kDense);
   if (compiled.ok()) {  // if a future compiler handles it, it must agree
     for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
          ++origin) {
@@ -240,7 +244,9 @@ TEST(CompiledSelector, DeclinesGracefully) {
   // Empty trees cannot be compiled (callers fall back).
   Tree empty;
   AxisIndex empty_index(empty);
-  EXPECT_FALSE(CompileSelector(empty_index, Parse("desc(x, y)")).ok());
+  EXPECT_FALSE(CompileSelector(empty_index, Parse("desc(x, y)"), "x", "y",
+                               AxisRepr::kDense)
+                   .ok());
 }
 
 // --- Random-formula property test: compiled == reference. --------------
@@ -381,8 +387,8 @@ TEST(CompiledSelectorProperty, MatchesReferenceOnRandomInstances) {
 // Exhaustive every-origin comparison is quadratic, so at n = 10^5 the
 // oracle samples: a fixed spread of origins checked against the
 // reference evaluator, plus ground-truth navigation for the
-// grandchildren selector.  kAuto must resolve to the interval
-// representation at this size — the dense matrix alone would be 1.25GB.
+// grandchildren selector.  Only the interval representation fits at
+// this size — the dense matrix alone would be 1.25GB.
 TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   std::mt19937 rng(3301);
   RandomTreeOptions options;
@@ -393,7 +399,8 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   AxisIndex index(tree);
 
   Formula grandchildren = Parse("exists z (E(x, z) & E(z, y))");
-  auto compiled = CompileSelector(index, grandchildren);
+  auto compiled =
+      CompileSelector(index, grandchildren, "x", "y", AxisRepr::kInterval);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_EQ(compiled->repr(), AxisRepr::kInterval);
 
@@ -420,7 +427,8 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   // few origins (the reference is per-origin linear-ish here, so a
   // handful is affordable).
   Formula mixed = Parse("desc(x, y) & lab(y, #a) & !leaf(y)");
-  auto compiled_mixed = CompileSelector(index, mixed);
+  auto compiled_mixed =
+      CompileSelector(index, mixed, "x", "y", AxisRepr::kInterval);
   ASSERT_TRUE(compiled_mixed.ok()) << compiled_mixed.status().ToString();
   EXPECT_EQ(compiled_mixed->repr(), AxisRepr::kInterval);
   for (NodeId origin : {NodeId{0}, NodeId{123}, NodeId{77777}}) {
@@ -449,7 +457,7 @@ TEST(CompiledSentenceProperty, MatchesReferenceOnRandomInstances) {
     Formula sentence =
         rng() % 2 ? Formula::Exists("x", Formula::Exists("y", body))
                   : Formula::Forall("x", Formula::Forall("y", body));
-    auto compiled = CompileSentence(index, sentence);
+    auto compiled = CompileSentence(index, sentence, AxisRepr::kDense);
     if (!compiled.ok()) continue;
     ++compiled_instances;
     auto interval = CompileSentence(index, sentence, AxisRepr::kInterval);

@@ -15,6 +15,7 @@
 #include "src/automata/library.h"
 #include "src/common/failpoint.h"
 #include "src/engine/engine.h"
+#include "src/logic/planner.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -196,11 +197,14 @@ TEST_F(EngineFaultTest, AcceptanceScenarioFailsSickJobsAndSparesSiblings) {
   jobs[2].program = &hog;  // wants ~500KiB matrices against a 64KiB budget
   jobs[2].tree = &big;
   jobs[2].memory_budget_bytes = 64 << 10;
-  // Pin the legacy always-compile path: this scenario exercises the
-  // governor tripping on the matrix materialization, and the cost-based
-  // planner (kAuto) would sidestep it by picking the reference
-  // evaluator for this selector.
-  jobs[2].options.plan_mode = PlanMode::kFixed;
+  // Price the reference evaluator and interval rows out of the plan:
+  // this scenario exercises the governor tripping on the dense matrix
+  // materialization, which the default costs would sidestep by picking
+  // the reference evaluator for this selector.
+  PlannerCalibration dense_only;
+  dense_only.reference_visit_cost = 1e18;
+  dense_only.interval_span_cost = 1e18;
+  jobs[2].options.planner_calibration = &dense_only;
   jobs[3].program = nullptr;  // malformed
   jobs[3].tree = &small;
   jobs[4].program = &parity;  // healthy

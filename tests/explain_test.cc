@@ -83,15 +83,6 @@ TEST(ExplainGolden, OutputIsDeterministic) {
   EXPECT_EQ(Explain(args), Explain(args));
 }
 
-TEST(ExplainGolden, FixedModeReportsLegacyChoice) {
-  const std::string got = Explain(
-      "examples/trees/uniform.term --selector 'desc(x, y)' --plan fixed");
-  EXPECT_NE(got.find("fixed mode: legacy heuristics"), std::string::npos)
-      << got;
-  // 6 nodes is far under kDenseAxisNodeLimit: legacy resolves to dense.
-  EXPECT_NE(got.find("plan: compiled-dense"), std::string::npos) << got;
-}
-
 TEST(ExplainGolden, RejectsBadInvocations) {
   const std::string devnull = " >/dev/null 2>&1";
   const std::string base =
@@ -106,8 +97,65 @@ TEST(ExplainGolden, RejectsBadInvocations) {
             0);
   EXPECT_NE(std::system((base +
                          " explain examples/trees/uniform.term --selector "
-                         "'desc(x, y)' --plan sometimes" + devnull).c_str()),
+                         "'desc(x, y)' --origin" + devnull).c_str()),
             0);
+}
+
+/// Runs `twq <args>` from the source root; returns the exit status and
+/// fills `output` with stdout and stderr.
+int Twq(const std::string& args, std::string* output) {
+  const std::string out = ::testing::TempDir() + "twq_out." +
+                          std::to_string(::getpid()) + ".txt";
+  const std::string cmd = std::string("cd ") + TREEWALK_SOURCE_DIR + " && " +
+                          TREEWALK_TWQ_PATH + " " + args + " > " + out +
+                          " 2>&1";
+  const int status = std::system(cmd.c_str());
+  *output = ReadWholeFile(out);
+  return status;
+}
+
+TEST(TwqFlags, RunBatchAndExplainRejectRemovedUnknownAndMalformedFlags) {
+  // Each base invocation succeeds on its own (run exits 2 on REJECT, so
+  // it uses the accepting tree).
+  const std::string run =
+      "run examples/programs/example32.twp examples/trees/uniform.term";
+  const std::string batch = "batch examples/batch.manifest --quiet";
+  const std::string explain =
+      "explain examples/trees/uniform.term --selector 'desc(x, y)'";
+  std::string output;
+  for (const std::string& base : {run, batch, explain}) {
+    ASSERT_EQ(Twq(base, &output), 0) << base << "\n" << output;
+    // The deleted plan-mode and representation overrides, and a typo.
+    for (const char* bad : {" --plan auto", " --plan fixed",
+                            " --axis-repr dense", " --bogus"}) {
+      EXPECT_NE(Twq(base + bad, &output), 0) << base << bad;
+    }
+  }
+  // Malformed numbers.  run takes no numeric flag, so a stray number
+  // after a switch is an unknown option.
+  for (const std::string& bad :
+       {run + " --trace 5", batch + " --deadline-ms soon",
+        batch + " --memory-budget-mb lots", batch + " --jobs 2x",
+        batch + " --jobs 0", batch + " --retries -1",
+        batch + " --max-steps 99999999999999999999",
+        explain + " --origin abc", explain + " --origin -1",
+        explain + " --origin 999", explain + " --origin ' 2'"}) {
+    EXPECT_NE(Twq(bad, &output), 0) << bad << "\n" << output;
+  }
+  EXPECT_NE(Twq(batch + " --deadline-ms soon", &output), 0);
+  EXPECT_NE(output.find("--deadline-ms wants an integer"), std::string::npos)
+      << output;
+  // Every numeric flag perfbench passes still parses.
+  EXPECT_EQ(Twq(batch + " --jobs 2 --deadline-ms 1000 --memory-budget-mb 64",
+                &output),
+            0)
+      << output;
+  EXPECT_EQ(Twq(explain + " --origin 2 --evals", &output), 0) << output;
+  // serve fails on the missing corpus, after its flags parsed.
+  EXPECT_NE(Twq("serve /nonexistent-corpus --port 0 --workers 2 --quiet",
+                &output),
+            0);
+  EXPECT_EQ(output.find("wants an integer"), std::string::npos) << output;
 }
 
 #endif  // TREEWALK_TWQ_PATH && TREEWALK_SOURCE_DIR

@@ -1,16 +1,18 @@
 // Tests for the cost-based query planner (src/logic/planner.h) and its
 // tree-statistics substrate (src/tree/tree_stats.h): exact statistics on
 // known trees, snapshot preloading, formula feature extraction, the
-// dense/interval cost crossover (which must reproduce the legacy
-// kDenseAxisNodeLimit switch), interpreter pick counters, calibration
-// feedback, and the headline differential oracle proving that the
+// dense/interval cost crossover (at 4096 nodes on span-1 workloads),
+// interpreter pick counters, calibration feedback, and the headline
+// differential oracle proving that the
 // planned strategy returns exactly the same nodes as every fixed
 // strategy on >= 500 random (formula, tree) instances.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "src/logic/planner.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/snapshot.h"
 #include "src/tree/term_io.h"
@@ -188,9 +191,8 @@ TreeStats SyntheticStats(std::int64_t n) {
 
 TEST(CostModel, DenseIntervalCrossoverMatchesLegacyLimit) {
   // With default calibration, a span-1 workload's dense/interval cost
-  // ratio is n / 4096: the planner's crossover lands exactly on the
-  // legacy kDenseAxisNodeLimit, making it a strict generalization of
-  // the old fixed switch.
+  // ratio is n / 4096: the crossover lands where the dense matrix
+  // outgrows ~2MiB.
   Formula f = Parse("desc(x, y)");
   SelectorPlan small = PlanSelector(SyntheticStats(2048), f);
   EXPECT_LT(small.cost_dense, small.cost_interval);
@@ -213,35 +215,9 @@ TEST(CostModel, ReferenceWinsForSingleOriginCheapSelector) {
   EXPECT_EQ(plan.strategy, PlanStrategy::kReference);
   EXPECT_LT(plan.cost_reference, plan.cost_dense);
   EXPECT_LT(plan.cost_reference, plan.cost_interval);
-}
-
-TEST(CostModel, ForcedReprRestrictsCompiledCandidates) {
-  Formula f = Parse("desc(x, y)");
-  PlanOptions force_interval;
-  force_interval.forced_repr = AxisRepr::kInterval;
-  SelectorPlan plan =
-      PlanSelector(SyntheticStats(2048), f, {}, force_interval);
-  // Dense would win on 2048 nodes, but it is not a candidate.
-  EXPECT_NE(plan.strategy, PlanStrategy::kCompiledDense);
-
-  PlanOptions force_dense;
-  force_dense.forced_repr = AxisRepr::kDense;
-  SelectorPlan plan2 =
-      PlanSelector(SyntheticStats(1 << 20), f, {}, force_dense);
-  EXPECT_NE(plan2.strategy, PlanStrategy::kCompiledInterval);
-}
-
-TEST(CostModel, XPathCompetesOnlyWhenOffered) {
-  Formula f = Parse("desc(x, y)");
-  SelectorPlan plain = PlanSelector(SyntheticStats(4096), f);
-  EXPECT_LT(plain.cost_xpath, 0.0);
-  EXPECT_NE(plain.strategy, PlanStrategy::kXPathDirect);
-
-  PlanOptions opts;
-  opts.offer_xpath = true;
-  opts.xpath_steps = 1;
-  SelectorPlan offered = PlanSelector(SyntheticStats(4096), f, {}, opts);
-  EXPECT_GE(offered.cost_xpath, 0.0);
+  // A reference pick still names the cheaper compiled representation.
+  EXPECT_LT(plan.cost_interval, plan.cost_dense);
+  EXPECT_EQ(plan.repr, AxisRepr::kInterval);
 }
 
 TEST(CostModel, AtomEstimatesAreExactAndOrdered) {
@@ -289,55 +265,79 @@ TEST(Recalibrate, GeometricHalfStepTowardMeasurement) {
 
 // --- Interpreter pick counters. ----------------------------------------
 
-TEST(PlannerPicks, AutoCountsPicksFixedDoesNot) {
+/// Per-strategy counts of the picks PlanSelector makes for each
+/// distinct atp() selector of `program` on delim(`input`), the tree a
+/// run plans against.
+std::array<std::int64_t, 3> ExpectedPicks(const Program& program,
+                                          const Tree& input,
+                                          const PlannerCalibration& cal) {
+  const TreeStats stats = ComputeTreeStats(Delimit(input).tree);
+  std::array<std::int64_t, 3> picks{};
+  std::set<std::string> seen;
+  for (const Rule& rule : program.rules()) {
+    if (rule.action.kind != Action::Kind::kLookAhead) continue;
+    if (!seen.insert(rule.action.selector.ToString()).second) continue;
+    ++picks[static_cast<std::size_t>(
+        PlanSelector(stats, rule.action.selector, cal).strategy)];
+  }
+  return picks;
+}
+
+TEST(PlannerPicks, CountersMatchPlanSelectorAndPricingKeepsTheRun) {
   auto program = Example32Program("a");
   ASSERT_TRUE(program.ok());
+  PlannerCalibration no_dense;
+  no_dense.dense_word_cost = 1e18;
+  PlannerCalibration no_compile = no_dense;
+  no_compile.interval_span_cost = 1e18;
+
   std::mt19937 rng(99);
   RandomTreeOptions options;
   options.labels = {"a", "sigma", "delta"};
   options.attributes = {"a"};
-  options.num_nodes = 24;
-  Tree t = RandomTree(rng, options);
+  for (int n : {24, 400}) {
+    options.num_nodes = n;
+    Tree t = RandomTree(rng, options);
+    // Every selector is evaluated (so planned) only if a delta node
+    // starts a subcomputation.
+    bool has_delta = false;
+    for (NodeId u = 0; u < static_cast<NodeId>(t.size()); ++u) {
+      has_delta = has_delta || t.LabelName(t.label(u)) == "delta";
+    }
+    ASSERT_TRUE(has_delta) << PrintTerm(t);
 
-  RunOptions auto_opts;  // plan_mode defaults to kAuto
-  auto auto_run = Interpreter(*program, auto_opts).Run(t);
-  ASSERT_TRUE(auto_run.ok()) << auto_run.status().ToString();
+    RunOptions planned_opts;
+    planned_opts.record_trace = true;
+    auto planned = Interpreter(*program, planned_opts).Run(t);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_GT(planned->stats.compiled_selector_evals, 0) << "n=" << n;
 
-  RunOptions fixed_opts;
-  fixed_opts.plan_mode = PlanMode::kFixed;
-  auto fixed_run = Interpreter(*program, fixed_opts).Run(t);
-  ASSERT_TRUE(fixed_run.ok()) << fixed_run.status().ToString();
+    for (const PlannerCalibration& cal :
+         {PlannerCalibration{}, no_dense, no_compile}) {
+      RunOptions opts = planned_opts;
+      opts.planner_calibration = &cal;
+      auto run = Interpreter(*program, opts).Run(t);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const RunStats& st = run->stats;
+      const std::array<std::int64_t, 3> expected =
+          ExpectedPicks(*program, t, cal);
+      EXPECT_EQ(st.planner_picks_reference, expected[0]) << "n=" << n;
+      EXPECT_EQ(st.planner_picks_dense, expected[1]) << "n=" << n;
+      EXPECT_EQ(st.planner_picks_interval, expected[2]) << "n=" << n;
+    }
 
-  // Identical semantics either way...
-  EXPECT_EQ(auto_run->accepted, fixed_run->accepted);
-  EXPECT_EQ(auto_run->reason, fixed_run->reason);
-  EXPECT_EQ(auto_run->stats.steps, fixed_run->stats.steps);
-
-  // ...but only auto mode records picks (one per distinct selector).
-  const RunStats& a = auto_run->stats;
-  if (a.atp_calls > 0) {
-    EXPECT_GT(a.planner_picks_reference + a.planner_picks_dense +
-                  a.planner_picks_interval,
-              0);
+    // Pricing compilation out sends every selector to the reference
+    // evaluator without changing the run.
+    RunOptions ref_opts = planned_opts;
+    ref_opts.planner_calibration = &no_compile;
+    auto ref_run = Interpreter(*program, ref_opts).Run(t);
+    ASSERT_TRUE(ref_run.ok()) << ref_run.status().ToString();
+    EXPECT_EQ(ref_run->stats.compiled_selector_evals, 0);
+    EXPECT_EQ(ref_run->accepted, planned->accepted);
+    EXPECT_EQ(ref_run->reason, planned->reason);
+    EXPECT_EQ(ref_run->stats.steps, planned->stats.steps);
+    EXPECT_EQ(ref_run->trace, planned->trace);
   }
-  const RunStats& f = fixed_run->stats;
-  EXPECT_EQ(f.planner_picks_reference, 0);
-  EXPECT_EQ(f.planner_picks_dense, 0);
-  EXPECT_EQ(f.planner_picks_interval, 0);
-
-  // Calibration constants are honored per-run: an absurdly expensive
-  // compiled path forces every pick to the reference strategy.
-  PlannerCalibration avoid_compile;
-  avoid_compile.dense_word_cost = 1e18;
-  avoid_compile.interval_span_cost = 1e18;
-  RunOptions ref_opts;
-  ref_opts.planner_calibration = &avoid_compile;
-  auto ref_run = Interpreter(*program, ref_opts).Run(t);
-  ASSERT_TRUE(ref_run.ok());
-  EXPECT_EQ(ref_run->stats.planner_picks_dense, 0);
-  EXPECT_EQ(ref_run->stats.planner_picks_interval, 0);
-  EXPECT_EQ(ref_run->stats.compiled_selector_evals, 0);
-  EXPECT_EQ(ref_run->accepted, auto_run->accepted);
 }
 
 // --- The differential oracle: planned == every fixed strategy. ---------

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/atomic_file.h"
+#include "src/common/crc32c.h"
 #include "src/common/failpoint.h"
 #include "src/common/metrics.h"
 #include "src/logic/compile.h"
@@ -252,6 +253,33 @@ TEST(SelectorCacheValidation, TruncationAndBitFlipsNeverDecodeWrong) {
       // must still be right.
       EXPECT_EQ(decoded->SelectFrom(0), want) << "byte " << i;
     }
+  }
+}
+
+TEST(SelectorCacheValidation, ReprOutsideDenseAndIntervalIsRejected) {
+  // Entries persist AxisRepr's raw value (kInterval = 1, kDense = 2).
+  // A correctly sealed entry naming any other value never decodes.
+  std::mt19937 rng(13);
+  Tree tree = RandomTree(rng, RandomTreeOptions{});
+  AxisIndex index(tree);
+  auto fresh = CompileSelector(index, Parse("desc(x, y)"), "x", "y",
+                               AxisRepr::kDense);
+  ASSERT_TRUE(fresh.ok());
+  SelectorCacheKey key{5, 6, AxisRepr::kDense};
+  const std::string image = EncodeSelectorCacheEntry(key, *fresh);
+  ASSERT_EQ(static_cast<unsigned char>(image[12]), 2u);  // repr, LE u32
+  ASSERT_TRUE(DecodeSelectorCacheEntry(image, nullptr).ok());
+  for (char raw : {'\0', '\3'}) {
+    std::string resealed = image.substr(0, image.size() - 4);
+    resealed[12] = raw;
+    const std::uint32_t crc = Crc32c(resealed);
+    for (int shift = 0; shift < 32; shift += 8) {
+      resealed.push_back(static_cast<char>((crc >> shift) & 0xff));
+    }
+    auto decoded = DecodeSelectorCacheEntry(resealed, nullptr);
+    ASSERT_FALSE(decoded.ok()) << "raw repr " << static_cast<int>(raw);
+    EXPECT_NE(decoded.status().message().find("repr"), std::string::npos)
+        << decoded.status().ToString();
   }
 }
 

@@ -17,9 +17,10 @@ is exactly how a perf regression hides (the arm that regressed gets
 renamed or dropped and the gate keeps passing).  Intentional removals
 refresh the baseline in the same commit.  A missing baseline file is
 likewise exit 3 unless --allow-missing-baseline is given.
-Aggregate rows (_mean/_median/_stddev/_cv) are skipped — with
---benchmark_repetitions they would double-count, and single-run rows
-are what the baselines hold.
+A series written with --benchmark_repetitions has one row per
+repetition: the gate compares the median of those rows and prints the
+sample count.  Aggregate rows (_mean/_median/_stddev/_cv) are skipped;
+the median is recomputed from the repetitions themselves.
 
 Baseline refresh (see docs/OBSERVABILITY.md): after an intentional
 perf change, regenerate on a quiet machine and commit the new files —
@@ -59,6 +60,7 @@ import glob
 import json
 import os
 import shutil
+import statistics
 import sys
 
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_BigO", "_RMS")
@@ -92,13 +94,14 @@ def check_build_type(path, doc):
         )
 
 
-def load_series(path):
-    """name -> cpu_time in ns for every non-aggregate benchmark row."""
+def load_samples(path):
+    """name -> [cpu_time in ns] over the non-aggregate rows, one per
+    repetition."""
     with open(path) as f:
         doc = json.load(f)
     check_build_type(path, doc)
     unit_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-    series = {}
+    samples = {}
     for row in doc.get("benchmarks", []):
         name = row.get("name", "")
         if not name or name.endswith(AGGREGATE_SUFFIXES):
@@ -108,15 +111,25 @@ def load_series(path):
         cpu = row.get("cpu_time")
         if cpu is None:
             continue
-        series[name] = cpu * unit_ns.get(row.get("time_unit", "ns"), 1.0)
-    return series
+        samples.setdefault(name, []).append(
+            cpu * unit_ns.get(row.get("time_unit", "ns"), 1.0)
+        )
+    return samples
+
+
+def load_series(path):
+    """name -> median cpu_time in ns over the series' repetitions."""
+    return {
+        name: statistics.median(times)
+        for name, times in load_samples(path).items()
+    }
 
 
 def compare(baseline_path, fresh_path, threshold, report):
     """Returns (regressions, gone): series over threshold and series
     present in the baseline but missing from the fresh run."""
-    baseline = load_series(baseline_path)
-    fresh = load_series(fresh_path)
+    baseline = load_samples(baseline_path)
+    fresh = load_samples(fresh_path)
     regressions = []
     gone = []
     for name in sorted(set(baseline) | set(fresh)):
@@ -129,7 +142,12 @@ def compare(baseline_path, fresh_path, threshold, report):
                 f"  GONE     {name} (in baseline, absent from fresh run)"
             )
             continue
-        base, cur = baseline[name], fresh[name]
+        base = statistics.median(baseline[name])
+        cur = statistics.median(fresh[name])
+        counts = (len(baseline[name]), len(fresh[name]))
+        samples = ""
+        if max(counts) > 1:
+            samples = f" [median of {counts[0]} vs {counts[1]} samples]"
         if base <= 0:
             continue
         ratio = cur / base
@@ -141,7 +159,7 @@ def compare(baseline_path, fresh_path, threshold, report):
             tag = "FASTER"
         report.append(
             f"  {tag:8} {name}: {base:.0f}ns -> {cur:.0f}ns "
-            f"({(ratio - 1) * 100:+.1f}%)"
+            f"({(ratio - 1) * 100:+.1f}%){samples}"
         )
     return regressions, gone
 

@@ -8,7 +8,6 @@
 //   twq check <program.twp>
 //       Parse and validate a program; print its canonical form.
 //   twq explain <tree> (--selector <phi> | --xpath <path> | --program <p.twp>)
-//       [--plan auto|fixed] [--axis-repr auto|interval|dense]
 //       [--origin N] [--evals] [--timing]
 //       Show what the cost-based planner (docs/PLANNER.md) would do for
 //       each selector: tree statistics, formula features, per-strategy
@@ -107,6 +106,10 @@
 // `twq batch` additionally prints a progress line to stderr every 500ms
 // (jobs done/failed/running, p95 job latency) unless --quiet is given.
 //
+// Numeric flag values are whole decimal integers within the flag's
+// range, and subcommands reject options they do not know; either
+// mistake is a usage error (exit 1) before any work starts.
+//
 // Trees are read as the compact term syntax (a[x=1](b, c)) unless the
 // file ends in .xml (XML) or .twsnap (snapshot).
 
@@ -115,11 +118,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -207,16 +214,52 @@ void EnsureDir(const std::string& dir) {
   ::mkdir(dir.c_str(), 0777);
 }
 
-std::optional<tw::PlanMode> ParsePlanMode(const char* arg) {
-  if (std::strcmp(arg, "auto") == 0) return tw::PlanMode::kAuto;
-  if (std::strcmp(arg, "fixed") == 0) return tw::PlanMode::kFixed;
-  return std::nullopt;
+/// Parses all of `text` as an unsigned base-10 integer in [lo, hi];
+/// nullopt for anything else (empty, a sign or junk, trailing
+/// characters, out of range).
+std::optional<long long> ParseInteger(const char* text, long long lo,
+                                      long long hi) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Reads the value argv[i] of the numeric flag argv[i - 1] into `out`.
+/// A value that is not an integer in [lo, hi] prints a usage error
+/// naming the flag and returns false; the caller exits nonzero.
+template <typename T>
+bool IntFlag(char** argv, int i, T* out, long long lo = 0,
+             long long hi = std::numeric_limits<T>::max()) {
+  const std::optional<long long> value = ParseInteger(argv[i], lo, hi);
+  if (!value.has_value()) {
+    Fail(std::string(argv[i - 1]) + " wants an integer in [" +
+         std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
+         argv[i] + "'");
+    return false;
+  }
+  *out = static_cast<T>(*value);
+  return true;
+}
+
+/// IntFlag for a size given in MiB, stored in bytes.
+bool MbFlag(char** argv, int i, std::int64_t* bytes) {
+  std::int64_t mb = 0;
+  const long long max_mb = std::numeric_limits<std::int64_t>::max() >> 20;
+  if (!IntFlag(argv, i, &mb, 0, max_mb)) return false;
+  *bytes = mb << 20;
+  return true;
 }
 
 int CmdRun(int argc, char** argv) {
   if (argc < 2) {
-    return Fail("usage: twq run <program.twp> <tree> [--trace] "
-                "[--axis-repr auto|interval|dense] [--plan auto|fixed] "
+    return Fail("usage: twq run <program.twp> <tree> [--trace] [--graph] "
                 "[--snapshot-cache <dir>] [--compile-cache <dir>]");
   }
   std::string program_text;
@@ -227,36 +270,22 @@ int CmdRun(int argc, char** argv) {
   if (!program.ok()) return Fail("program: " + program.status().ToString());
 
   bool trace = false, graph = false;
-  tw::AxisRepr axis_repr = tw::AxisRepr::kAuto;
-  tw::PlanMode plan_mode = tw::PlanMode::kAuto;
   std::optional<tw::SnapshotCache> snapshot_cache;
   std::optional<tw::SelectorDiskCache> compile_cache;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) trace = true;
-    if (std::strcmp(argv[i], "--graph") == 0) graph = true;
-    if (std::strcmp(argv[i], "--axis-repr") == 0 && i + 1 < argc) {
-      auto repr = tw::ParseAxisRepr(argv[++i]);
-      if (!repr.has_value()) {
-        return Fail(std::string("unknown --axis-repr '") + argv[i] +
-                    "' (want auto, interval, or dense)");
-      }
-      axis_repr = *repr;
-    }
-    if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-      auto mode = ParsePlanMode(argv[++i]);
-      if (!mode.has_value()) {
-        return Fail(std::string("unknown --plan '") + argv[i] +
-                    "' (want auto or fixed)");
-      }
-      plan_mode = *mode;
-    }
-    if (std::strcmp(argv[i], "--snapshot-cache") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace") == 0) {
+      trace = true;
+    } else if (std::strcmp(argv[i], "--graph") == 0) {
+      graph = true;
+    } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 &&
+               i + 1 < argc) {
       EnsureDir(argv[++i]);
       snapshot_cache.emplace(argv[i]);
-    }
-    if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
       EnsureDir(argv[++i]);
       compile_cache.emplace(argv[i]);
+    } else {
+      return Fail(std::string("unknown run option '") + argv[i] + "'");
     }
   }
   auto tree = LoadTreeCached(
@@ -274,8 +303,6 @@ int CmdRun(int argc, char** argv) {
 
   tw::RunOptions options;
   options.record_trace = trace;
-  options.axis_repr = axis_repr;
-  options.plan_mode = plan_mode;
   if (compile_cache.has_value()) {
     options.selector_disk_cache = &*compile_cache;
   }
@@ -338,12 +365,9 @@ int CmdCheck(int argc, char** argv) {
 int CmdExplain(int argc, char** argv) {
   const char* usage =
       "usage: twq explain <tree> (--selector <phi> | --xpath <path> | "
-      "--program <p.twp>) [--plan auto|fixed] "
-      "[--axis-repr auto|interval|dense] [--origin N] [--evals] [--timing]";
+      "--program <p.twp>) [--origin N] [--evals] [--timing]";
   if (argc < 1) return Fail(usage);
   std::string selector_text, xpath_text, program_path;
-  tw::PlanMode plan_mode = tw::PlanMode::kAuto;
-  tw::AxisRepr axis_repr = tw::AxisRepr::kAuto;
   long long origin_arg = -1;
   bool evals = false, timing = false;
   for (int i = 1; i < argc; ++i) {
@@ -353,22 +377,11 @@ int CmdExplain(int argc, char** argv) {
       xpath_text = argv[++i];
     } else if (std::strcmp(argv[i], "--program") == 0 && i + 1 < argc) {
       program_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-      auto mode = ParsePlanMode(argv[++i]);
-      if (!mode.has_value()) {
-        return Fail(std::string("unknown --plan '") + argv[i] +
-                    "' (want auto or fixed)");
-      }
-      plan_mode = *mode;
-    } else if (std::strcmp(argv[i], "--axis-repr") == 0 && i + 1 < argc) {
-      auto repr = tw::ParseAxisRepr(argv[++i]);
-      if (!repr.has_value()) {
-        return Fail(std::string("unknown --axis-repr '") + argv[i] +
-                    "' (want auto, interval, or dense)");
-      }
-      axis_repr = *repr;
     } else if (std::strcmp(argv[i], "--origin") == 0 && i + 1 < argc) {
-      origin_arg = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &origin_arg, 0,
+                   std::numeric_limits<tw::NodeId>::max())) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--evals") == 0) {
       evals = true;
     } else if (std::strcmp(argv[i], "--timing") == 0) {
@@ -384,35 +397,33 @@ int CmdExplain(int argc, char** argv) {
 
   auto tree = LoadTree(argv[0]);
   if (!tree.ok()) return Fail("tree: " + tree.status().ToString());
+  tw::NodeId origin = origin_arg >= 0 ? static_cast<tw::NodeId>(origin_arg)
+                                      : tree->root();
+  if (!tree->Valid(origin)) {
+    return Fail("--origin " + std::to_string(origin_arg) +
+                " is not a node of the tree");
+  }
 
   struct Item {
     std::string title;
     tw::Formula formula;
-    bool from_xpath = false;
-    int xpath_steps = 0;
   };
   std::vector<Item> items;
-  std::optional<tw::XPath> xpath;
   if (!selector_text.empty()) {
     auto parsed = tw::ParseFormula(selector_text);
     if (!parsed.ok()) return Fail("selector: " + parsed.status().ToString());
     tw::Status valid = tw::ValidateTreeFormula(*parsed);
     if (!valid.ok()) return Fail("selector: " + valid.ToString());
-    items.push_back(Item{parsed->ToString(), *parsed, false, 0});
+    items.push_back(Item{parsed->ToString(), *parsed});
   } else if (!xpath_text.empty()) {
     auto parsed = tw::ParseXPath(xpath_text);
     if (!parsed.ok()) return Fail("xpath: " + parsed.status().ToString());
-    xpath = *parsed;
-    int steps = 0;
-    for (const tw::XPathPath& p : parsed->paths) {
-      steps += static_cast<int>(p.steps.size());
-    }
     auto formula = tw::CompileXPathToFo(*parsed);
     if (!formula.ok()) {
       return Fail("xpath does not compile to FO(exists*): " +
                   formula.status().ToString());
     }
-    items.push_back(Item{xpath_text, *formula, true, steps});
+    items.push_back(Item{xpath_text, *formula});
   } else {
     std::string text;
     if (!ReadFile(program_path, text)) {
@@ -425,7 +436,7 @@ int CmdExplain(int argc, char** argv) {
       if (rule.action.kind != tw::Action::Kind::kLookAhead) continue;
       const std::string key = rule.action.selector.ToString();
       if (!seen.emplace(key, true).second) continue;
-      items.push_back(Item{key, rule.action.selector, false, 0});
+      items.push_back(Item{key, rule.action.selector});
     }
     if (items.empty()) {
       std::printf("program has no atp() selectors; nothing to plan\n");
@@ -445,20 +456,10 @@ int CmdExplain(int argc, char** argv) {
       tree->snapshot_stats() != nullptr ? "preloaded from snapshot"
                                         : "computed");
 
-  tw::NodeId origin = origin_arg >= 0 ? static_cast<tw::NodeId>(origin_arg)
-                                      : tree->root();
-  if ((evals || timing) && !tree->Valid(origin)) {
-    return Fail("--origin " + std::to_string(origin_arg) +
-                " is not a node of the tree");
-  }
-
   const tw::PlannerCalibration cal;
   for (const Item& item : items) {
     std::printf("selector: %s\n", item.title.c_str());
     tw::PlanOptions popts;
-    popts.forced_repr = axis_repr;
-    popts.offer_xpath = item.from_xpath;
-    popts.xpath_steps = item.xpath_steps;
     if (origin_arg >= 0) popts.expected_origins = 1;
     tw::SelectorPlan plan = tw::PlanSelector(*stats, item.formula, cal, popts);
     const tw::FormulaFeatures& f = plan.features;
@@ -468,26 +469,9 @@ int CmdExplain(int argc, char** argv) {
         f.size, f.atoms, f.quantifiers, f.width, f.negation_depth,
         f.has_range_guard ? "yes" : "no");
     std::printf("  cost: reference=%.4g compiled-dense=%.4g "
-                "compiled-interval=%.4g",
+                "compiled-interval=%.4g\n",
                 plan.cost_reference, plan.cost_dense, plan.cost_interval);
-    if (plan.cost_xpath >= 0.0) {
-      std::printf(" xpath-direct=%.4g", plan.cost_xpath);
-    }
-    std::printf("\n");
-    if (plan_mode == tw::PlanMode::kFixed) {
-      // The legacy heuristics: always compile, representation by the
-      // kDenseAxisNodeLimit size threshold.
-      const tw::AxisRepr fixed = tw::ResolveAxisRepr(
-          axis_repr, static_cast<std::size_t>(stats->nodes));
-      plan.strategy = fixed == tw::AxisRepr::kDense
-                          ? tw::PlanStrategy::kCompiledDense
-                          : tw::PlanStrategy::kCompiledInterval;
-      plan.repr = fixed;
-      std::printf("  plan: %s (fixed mode: legacy heuristics)\n",
-                  tw::PlanStrategyName(plan.strategy));
-    } else {
-      std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
-    }
+    std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
     std::printf("  operators:\n");
     for (const tw::OperatorEstimate& op : plan.operators) {
       std::printf("    %*s%-*s rows=%-12.4g sel=%.4g%s\n", op.depth * 2, "",
@@ -505,11 +489,8 @@ int CmdExplain(int argc, char** argv) {
       Answers answers;
       switch (s) {
         case tw::PlanStrategy::kReference:
-        case tw::PlanStrategy::kXPathDirect:
           for (tw::NodeId u : origins) {
-            auto one = s == tw::PlanStrategy::kReference
-                           ? tw::SelectNodes(*tree, item.formula, u)
-                           : tw::EvalXPath(*tree, *xpath, u);
+            auto one = tw::SelectNodes(*tree, item.formula, u);
             if (!one.ok()) return one.status();
             answers.push_back(std::move(one).value());
           }
@@ -572,13 +553,9 @@ int CmdExplain(int argc, char** argv) {
           tw::PlanSelector(*stats, item.formula, cal, timed_opts);
       std::vector<tw::StrategyMeasurement> measured;
       std::printf("  timing: origins=%zu", all_nodes.size());
-      std::vector<tw::PlanStrategy> candidates = {
-          tw::PlanStrategy::kReference, tw::PlanStrategy::kCompiledDense,
-          tw::PlanStrategy::kCompiledInterval};
-      if (item.from_xpath) {
-        candidates.push_back(tw::PlanStrategy::kXPathDirect);
-      }
-      for (tw::PlanStrategy s : candidates) {
+      for (tw::PlanStrategy s :
+           {tw::PlanStrategy::kReference, tw::PlanStrategy::kCompiledDense,
+            tw::PlanStrategy::kCompiledInterval}) {
         const auto start = std::chrono::steady_clock::now();
         auto result = run_strategy(s, all_nodes);
         const auto end = std::chrono::steady_clock::now();
@@ -597,9 +574,9 @@ int CmdExplain(int argc, char** argv) {
           tw::RecalibrateFromMeasurements(cal, timed_plan, measured);
       std::printf(
           "  recalibrated: reference_visit_cost=%.4g dense_word_cost=%.4g "
-          "interval_span_cost=%.4g xpath_step_cost=%.4g\n",
+          "interval_span_cost=%.4g\n",
           tuned.reference_visit_cost, tuned.dense_word_cost,
-          tuned.interval_span_cost, tuned.xpath_step_cost);
+          tuned.interval_span_cost);
     }
   }
   return 0;
@@ -609,7 +586,6 @@ int CmdBatch(int argc, char** argv) {
   if (argc < 1) {
     return Fail("usage: twq batch <manifest> [--jobs N] [--max-steps M] "
                 "[--quiet] [--no-cache] [--no-compiled] "
-                "[--axis-repr auto|interval|dense] [--plan auto|fixed] "
                 "[--deadline-ms D] "
                 "[--memory-budget-mb B] [--retries R] "
                 "[--snapshot-cache <dir>] [--compile-cache <dir>] "
@@ -620,10 +596,8 @@ int CmdBatch(int argc, char** argv) {
   bool quiet = false;
   bool cache_selectors = true;
   bool compile_selectors = true;
-  tw::AxisRepr axis_repr = tw::AxisRepr::kAuto;
-  tw::PlanMode plan_mode = tw::PlanMode::kAuto;
   long long deadline_ms = 0;        // 0 = no deadline
-  long long memory_budget_mb = 0;   // 0 = unlimited
+  std::int64_t memory_budget_bytes = 0;  // 0 = unlimited
   int retries = 0;                  // extra attempts beyond the first
   std::string journal_path;         // empty = no journal
   bool resume = false;
@@ -636,42 +610,31 @@ int CmdBatch(int argc, char** argv) {
   std::optional<tw::SelectorDiskCache> compile_cache;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      num_threads = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &num_threads, 1)) return 1;
     } else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc) {
-      max_steps = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &max_steps)) return 1;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       cache_selectors = false;
     } else if (std::strcmp(argv[i], "--no-compiled") == 0) {
       compile_selectors = false;
-    } else if (std::strcmp(argv[i], "--axis-repr") == 0 && i + 1 < argc) {
-      auto repr = tw::ParseAxisRepr(argv[++i]);
-      if (!repr.has_value()) {
-        return Fail(std::string("unknown --axis-repr '") + argv[i] +
-                    "' (want auto, interval, or dense)");
-      }
-      axis_repr = *repr;
-    } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-      auto mode = ParsePlanMode(argv[++i]);
-      if (!mode.has_value()) {
-        return Fail(std::string("unknown --plan '") + argv[i] +
-                    "' (want auto or fixed)");
-      }
-      plan_mode = *mode;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
                i + 1 < argc) {
-      memory_budget_mb = std::atoll(argv[++i]);
+      if (!MbFlag(argv, ++i, &memory_budget_bytes)) return 1;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &retries, 0,
+                   std::numeric_limits<int>::max() - 1)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
       journal_path = argv[++i];
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
     } else if (std::strcmp(argv[i], "--journal-sync") == 0 && i + 1 < argc) {
-      journal_sync = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &journal_sync)) return 1;
     } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 && i + 1 < argc) {
       EnsureDir(argv[++i]);
       snapshot_cache.emplace(argv[i]);
@@ -792,14 +755,12 @@ int CmdBatch(int argc, char** argv) {
       if (max_steps > 0) job.options.max_steps = max_steps;
       job.options.cache_selectors = cache_selectors;
       job.options.compile_selectors = compile_selectors;
-      job.options.axis_repr = axis_repr;
-      job.options.plan_mode = plan_mode;
       if (compile_cache.has_value()) {
         job.options.selector_disk_cache = &*compile_cache;
       }
       job.deadline_ms = deadline_ms;
-      job.memory_budget_bytes = memory_budget_mb * 1024 * 1024;
-      job.retry.max_attempts = 1 + std::max(0, retries);
+      job.memory_budget_bytes = memory_budget_bytes;
+      job.retry.max_attempts = 1 + retries;
       job.job_id = m.job_id;
       entry.job_index = jobs.size();
       jobs.push_back(job);
@@ -998,43 +959,42 @@ int CmdServe(int argc, char** argv) {
   }
   const std::string corpus_dir = argv[0];
   tw::ServerOptions options;
-  long long cache_budget_mb = 0;  // 0 = unlimited resident cache
+  std::int64_t cache_budget_bytes = 0;  // 0 = unlimited resident cache
   bool quiet = false;
   std::optional<tw::SnapshotCache> snapshot_cache;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.port, 0, 65535)) return 1;
     } else if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
       options.host = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.num_workers = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.num_workers, 1)) return 1;
     } else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc) {
-      options.max_queue = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.max_queue, 1)) return 1;
     } else if (std::strcmp(argv[i], "--max-connections") == 0 &&
                i + 1 < argc) {
-      options.max_connections = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.max_connections)) return 1;
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
                i + 1 < argc) {
-      options.memory_budget_bytes = std::atoll(argv[++i]) * 1024 * 1024;
+      if (!MbFlag(argv, ++i, &options.memory_budget_bytes)) return 1;
     } else if (std::strcmp(argv[i], "--request-budget-mb") == 0 &&
                i + 1 < argc) {
-      options.request_memory_budget_bytes =
-          std::atoll(argv[++i]) * 1024 * 1024;
+      if (!MbFlag(argv, ++i, &options.request_memory_budget_bytes)) return 1;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      options.default_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.default_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--max-deadline-ms") == 0 &&
                i + 1 < argc) {
-      options.max_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.max_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--drain-ms") == 0 && i + 1 < argc) {
-      options.drain_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.drain_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
-      options.io_timeout_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.io_timeout_ms)) return 1;
     } else if (std::strcmp(argv[i], "--max-consecutive-failures") == 0 &&
                i + 1 < argc) {
-      options.max_consecutive_failures = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.max_consecutive_failures)) return 1;
     } else if (std::strcmp(argv[i], "--cache-budget-mb") == 0 &&
                i + 1 < argc) {
-      cache_budget_mb = std::atoll(argv[++i]);
+      if (!MbFlag(argv, ++i, &cache_budget_bytes)) return 1;
     } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 &&
                i + 1 < argc) {
       EnsureDir(argv[++i]);
@@ -1054,7 +1014,7 @@ int CmdServe(int argc, char** argv) {
   auto load_corpus =
       [&](std::uint64_t generation) -> std::shared_ptr<tw::ResidentTreeCache> {
     auto corpus = std::make_shared<tw::ResidentTreeCache>(
-        cache_budget_mb * 1024 * 1024, generation);
+        cache_budget_bytes, generation);
     DIR* dir = ::opendir(corpus_dir.c_str());
     if (dir == nullptr) {
       std::fprintf(stderr, "twq serve: cannot open corpus directory '%s'\n",
@@ -1202,8 +1162,11 @@ bool ParseEndpoint(const std::string& spec, tw::Endpoint* out) {
   std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
   out->host = colon == 0 ? "127.0.0.1" : spec.substr(0, colon);
-  out->port = std::atoi(spec.c_str() + colon + 1);
-  return out->port > 0 && out->port < 65536;
+  const std::optional<long long> port =
+      ParseInteger(spec.c_str() + colon + 1, 1, 65535);
+  if (!port.has_value()) return false;
+  out->port = static_cast<int>(*port);
+  return true;
 }
 
 int CmdQuery(int argc, char** argv) {
@@ -1226,27 +1189,32 @@ int CmdQuery(int argc, char** argv) {
       }
       have_remote = true;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      options.retry.max_attempts = std::atoi(argv[++i]) + 1;
+      int retries = 0;
+      if (!IntFlag(argv, ++i, &retries, 0,
+                   std::numeric_limits<int>::max() - 1)) {
+        return 1;
+      }
+      options.retry.max_attempts = retries + 1;
     } else if (std::strcmp(argv[i], "--total-deadline-ms") == 0 &&
                i + 1 < argc) {
-      options.total_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.total_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      options.request_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.request_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
-      options.io_timeout_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.io_timeout_ms)) return 1;
     } else if (std::strcmp(argv[i], "--breaker-threshold") == 0 &&
                i + 1 < argc) {
-      options.breaker_threshold = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.breaker_threshold)) return 1;
     } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
                i + 1 < argc) {
-      options.breaker_cooldown_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.breaker_cooldown_ms)) return 1;
     } else if (std::strcmp(argv[i], "--hedge") == 0 && i + 1 < argc) {
       if (!ParseEndpoint(argv[++i], &options.hedge)) {
         return Fail(std::string("bad --hedge '") + argv[i] + "'");
       }
     } else if (std::strcmp(argv[i], "--hedge-delay-ms") == 0 &&
                i + 1 < argc) {
-      options.hedge_delay_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.hedge_delay_ms)) return 1;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
@@ -1294,9 +1262,9 @@ int CmdProbe(int argc, char** argv) {
       }
       have_remote = true;
     } else if (std::strcmp(argv[i], "--hold-ms") == 0 && i + 1 < argc) {
-      hold_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &hold_ms)) return 1;
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-      options.io_timeout_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &options.io_timeout_ms)) return 1;
     } else {
       return Fail(std::string("unknown probe option '") + argv[i] + "'");
     }
