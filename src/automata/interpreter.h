@@ -35,23 +35,15 @@ struct RunOptions {
   /// computation runs into max_steps (kResourceExhausted) instead of
   /// rejecting with kCycle; terminating runs are unaffected.
   bool detect_cycles = true;
-  /// Per-run atp() selector-result cache keyed on (selector, origin
-  /// node, fingerprint of the store relations the selector mentions).
-  /// Selectors are tree formulas — they cannot read the store — so the
-  /// fingerprint component is constant and repeated fan-outs from one
-  /// node skip re-evaluating the FO selector.  Semantically invisible:
-  /// SelectNodes is pure over the (immutable) run input.
-  bool cache_selectors = true;
   /// Set-at-a-time selector evaluation: the cost-based planner
   /// (src/logic/planner.h) picks, once per distinct atp() selector per
   /// run, between the reference evaluator and compiling the selector
   /// into a dense or interval satisfier relation over a per-run axis
   /// index (src/logic/compile.h), answering every SelectNodes with a
-  /// row read.  Composes with cache_selectors (the chosen evaluator
-  /// serves the cache misses).  Selectors the partial compiler declines
-  /// (three-plus-variable subformulas) fall back to the reference
-  /// evaluator, so this is semantically invisible; turn off to ablate
-  /// or to force the reference path.
+  /// row read.  Selectors the partial compiler declines (three-plus-
+  /// variable subformulas) fall back to the reference evaluator, so
+  /// this is semantically invisible; turn off to ablate or to force the
+  /// reference path.
   bool compile_selectors = true;
   /// Cost-model constants for planning; null uses the built-in
   /// defaults.  Passed by pointer so calibration stays per-run and
@@ -73,9 +65,9 @@ struct RunOptions {
   /// Per-run resource governor (src/common/governor.h).  When non-null,
   /// the deadline is polled at every transition boundary (beside the
   /// cancel flag; a trip aborts with kDeadlineExceeded) and the run's
-  /// growing structures — cycle memo, trace, store tuples, selector
-  /// cache, axis index, compiled selectors — charge its memory budget
-  /// (a trip aborts with kResourceExhausted and a category breakdown).
+  /// growing structures — cycle memo, trace, store tuples, axis index,
+  /// compiled selectors — charge its memory budget (a trip aborts with
+  /// kResourceExhausted and a category breakdown).
   /// Not thread-safe: one governor per run; must outlive the run.
   ResourceGovernor* governor = nullptr;
 };
@@ -97,12 +89,13 @@ struct RunStats {
   std::int64_t subcomputations = 0;
   /// atp() rule firings (each may spawn several subcomputations).
   std::int64_t atp_calls = 0;
-  /// Selector evaluations answered from / added to the per-run cache.
+  /// Never written (always 0): there is no selector result cache.
+  /// Kept only because perfbench/driver.cc reads them.
   std::int64_t selector_cache_hits = 0;
   std::int64_t selector_cache_misses = 0;
   /// Selector evaluations answered by the compiled set-at-a-time
-  /// evaluator (subset of selector_cache_misses when the cache is on);
-  /// misses beyond this count fell back to the reference evaluator.
+  /// evaluator; the other atp_calls were answered by the reference
+  /// evaluator.
   std::int64_t compiled_selector_evals = 0;
   /// compiled_selector_evals split by the matrix representation the
   /// serving selector compiled under (the planner's pick).

@@ -21,11 +21,10 @@ enum class MemoryCategory {
   kCycleMemo,       ///< cycle-detection configuration memo (per computation)
   kStore,           ///< register store tuple growth (peak, monotone)
   kTrace,           ///< recorded trace entries
-  kSelectorCache,   ///< per-run atp() selector-result cache
   kMappedSnapshot,  ///< mmap-ed tree snapshot regions (src/tree/snapshot.h)
   kResidentTree,    ///< daemon-resident corpus trees (src/engine/input_cache.h)
 };
-inline constexpr int kNumMemoryCategories = 8;
+inline constexpr int kNumMemoryCategories = 7;
 
 const char* MemoryCategoryName(MemoryCategory category);
 

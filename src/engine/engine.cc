@@ -205,7 +205,6 @@ bool IsRetryable(const Status& status) {
 /// Applies degradation rung `rung` (see RetryPolicy) to `options`.
 void ApplyRung(int rung, const RetryPolicy& retry, RunOptions& options) {
   if (rung >= 1) options.compile_selectors = false;
-  if (rung >= 2) options.cache_selectors = false;
   if (rung >= 3) {
     options.detect_cycles = false;
     options.max_steps = std::min(options.max_steps,
@@ -529,8 +528,6 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
     batch.stats.steps += r.run.stats.steps;
     batch.stats.subcomputations += r.run.stats.subcomputations;
     batch.stats.atp_calls += r.run.stats.atp_calls;
-    batch.stats.selector_cache_hits += r.run.stats.selector_cache_hits;
-    batch.stats.selector_cache_misses += r.run.stats.selector_cache_misses;
     batch.stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
     batch.stats.interval_selector_evals += r.run.stats.interval_selector_evals;
     batch.stats.dense_selector_evals += r.run.stats.dense_selector_evals;

@@ -30,7 +30,7 @@ class BatchJournal;
 ///
 ///   rung 0  as submitted
 ///   rung 1  compile_selectors off (no axis index / bitset matrices)
-///   rung 2  + cache_selectors off (no per-run selector cache)
+///   rung 2  the same as rung 1 (kept so rung 3 keeps its place)
 ///   rung 3  + detect_cycles off, max_steps capped at degraded_max_steps
 ///
 /// A success on rung > 0 is still an exact result — the toggled options
@@ -110,8 +110,6 @@ struct EngineStats {
   std::int64_t steps = 0;
   std::int64_t subcomputations = 0;
   std::int64_t atp_calls = 0;
-  std::int64_t selector_cache_hits = 0;
-  std::int64_t selector_cache_misses = 0;
   std::int64_t compiled_selector_evals = 0;
   /// compiled_selector_evals split by matrix representation (the
   /// planner's pick).

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Pins tools/bench_gate.py's rule for repeated series: the gate compares
-the median of a series' repetition rows, not the last row or the mean.
+"""Pins two rules of tools/bench_gate.py: the gate compares the median
+of a series' repetition rows, not the last row or the mean; and it
+gates UseRealTime series on real_time, other series on cpu_time.
 
     tests/bench_gate_test.py tools/bench_gate.py
 
@@ -10,6 +11,15 @@ times (104, 106, 1000ns) and keeps BM_Steady/100 at one sample (110ns).
 The median, 106ns, is +6%: under the default 25% threshold that
 passes, although the last row and the mean would both fail; under a 5%
 threshold it fails, although the fastest row (+4%) would pass.
+
+The threaded fixture (tests/bench_gate/BENCH_threaded.json vs
+fresh_threaded.json) doubles the wall time of BM_Pool/4/real_time,
+22.7 -> 45.4ms, while its calling thread's cpu_time moves 1.27 ->
+1.30ms (+2.4%): gated on cpu_time it would pass, on real_time it fails.
+BM_Loop/real_time/threads:4 (the name shape of a ->Threads(N) arm)
+does the same, 30 -> 60us against 7.0 -> 7.1us.  BM_Serial/1 triples
+its real_time but keeps cpu_time within 5%, and passes: a series
+without UseRealTime stays on cpu_time.
 """
 
 import os
@@ -17,12 +27,12 @@ import subprocess
 import sys
 
 
-def run_gate(gate, fixtures, *extra):
+def run_gate(gate, fixtures, *extra, baseline="BENCH_fixture.json",
+             fresh="fresh_repetitions.json"):
     proc = subprocess.run(
         [sys.executable, gate,
          "--baseline-dir", fixtures,
-         "--fresh", "BENCH_fixture.json=" +
-         os.path.join(fixtures, "fresh_repetitions.json"),
+         "--fresh", baseline + "=" + os.path.join(fixtures, fresh),
          *extra],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
@@ -54,6 +64,18 @@ def main():
     code, out = run_gate(gate, fixtures, "--threshold", "0.05")
     expect(code == 1, f"5% threshold: want exit 1, got {code}", out)
     expect("BM_Noisy/100 +6.0%" in out, "median regression reported", out)
+
+    code, out = run_gate(gate, fixtures, baseline="BENCH_threaded.json",
+                         fresh="fresh_threaded.json")
+    expect(code == 1, f"real-time series: want exit 1, got {code}", out)
+    expect("  REGRESS  BM_Pool/4/real_time: 22700000ns -> 45400000ns "
+           "(+100.0%)" in out,
+           "UseRealTime series gated on real_time", out)
+    expect("  REGRESS  BM_Loop/real_time/threads:4: 30000ns -> 60000ns "
+           "(+100.0%)" in out,
+           "threaded UseRealTime series gated on real_time", out)
+    expect("  OK       BM_Serial/1: 10000000ns -> 10500000ns (+5.0%)" in out,
+           "other series still gated on cpu_time", out)
 
     for failure in failures:
         print("FAIL:", failure)

@@ -1,7 +1,7 @@
 // Tests for the batch evaluation engine (src/engine): determinism
 // across thread counts, shared read-only inputs, per-job error
 // isolation, cooperative cancellation, and the interpreter's selector
-// cache and instrumentation counters it surfaces.
+// dedupe and instrumentation counters it surfaces.
 
 #include "src/engine/engine.h"
 
@@ -14,6 +14,7 @@
 
 #include "src/automata/builder.h"
 #include "src/automata/library.h"
+#include "src/logic/planner.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -157,9 +158,10 @@ TEST(BatchEngine, CooperativeCancellationAbortsLongRuns) {
   }
 }
 
-/// Two atp() rules with the *same* selector firing at the same node:
-/// the second must hit the per-run selector cache.
-TEST(SelectorCache, RepeatedSelectorAtOneNodeHits) {
+/// Two atp() rules with the *same* selector firing at the same node
+/// share one selector id: the planner picks once and the selector is
+/// compiled once, and each firing is a row read of that compile.
+TEST(SelectorDedupe, RepeatedSelectorSharesOnePickAndOneCompile) {
   ProgramBuilder b(ProgramClass::kTwRL);
   b.SetStates("q0", "qf");
   b.DeclareRegister("X1", 1);
@@ -173,54 +175,28 @@ TEST(SelectorCache, RepeatedSelectorAtOneNodeHits) {
   Program p = std::move(b.Build()).value();
 
   Tree t = FullTree(2, 2);
-  Interpreter interpreter(p);
-  RunResult r = std::move(interpreter.Run(t)).value();
+  // Price the reference evaluator out so the planner's pick is a
+  // compile on this small tree.
+  PlannerCalibration compile_always;
+  compile_always.reference_visit_cost = 1e12;
+  RunOptions compiled;
+  compiled.planner_calibration = &compile_always;
+  RunResult r = std::move(Interpreter(p, compiled).Run(t)).value();
   EXPECT_TRUE(r.accepted);
   EXPECT_EQ(r.stats.atp_calls, 2);
-  EXPECT_EQ(r.stats.selector_cache_misses, 1);
-  EXPECT_EQ(r.stats.selector_cache_hits, 1);
+  EXPECT_EQ(r.stats.planner_picks_reference + r.stats.planner_picks_dense +
+                r.stats.planner_picks_interval,
+            1);
+  EXPECT_EQ(r.stats.compiled_selector_evals, 2);
 
-  // With the cache disabled both firings evaluate the selector; the
-  // run itself is unchanged.
-  RunOptions no_cache;
-  no_cache.cache_selectors = false;
-  RunResult r2 =
-      std::move(Interpreter(p, no_cache).Run(t)).value();
-  EXPECT_TRUE(r2.accepted);
-  EXPECT_EQ(r2.stats.selector_cache_hits, 0);
-  EXPECT_EQ(r2.stats.selector_cache_misses, 2);
+  // The reference evaluator gives the same run.
+  RunOptions reference;
+  reference.compile_selectors = false;
+  RunResult r2 = std::move(Interpreter(p, reference).Run(t)).value();
+  EXPECT_EQ(r2.accepted, r.accepted);
+  EXPECT_EQ(r2.reason, r.reason);
   EXPECT_EQ(r2.stats.steps, r.stats.steps);
-}
-
-TEST(SelectorCache, CountersAreConsistentAcrossTheLibrary) {
-  Workload w = MixedWorkload();
-  BatchResult batch =
-      std::move(BatchEngine({.num_threads = 1}).RunBatch(w.jobs)).value();
-  EXPECT_EQ(batch.stats.selector_cache_hits + batch.stats.selector_cache_misses,
-            batch.stats.atp_calls);
-  for (const JobResult& r : batch.results) {
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.run.stats.selector_cache_hits +
-                  r.run.stats.selector_cache_misses,
-              r.run.stats.atp_calls);
-  }
-}
-
-TEST(SelectorCache, DisablingTheCacheChangesNoVerdictOrStepCount) {
-  Workload w = MixedWorkload();
-  std::vector<BatchJob> no_cache_jobs = w.jobs;
-  for (BatchJob& job : no_cache_jobs) job.options.cache_selectors = false;
-  BatchResult cached =
-      std::move(BatchEngine({.num_threads = 1}).RunBatch(w.jobs)).value();
-  BatchResult plain = std::move(
-      BatchEngine({.num_threads = 1}).RunBatch(no_cache_jobs)).value();
-  ASSERT_EQ(cached.results.size(), plain.results.size());
-  for (std::size_t i = 0; i < cached.results.size(); ++i) {
-    EXPECT_EQ(cached.results[i].run.accepted, plain.results[i].run.accepted);
-    EXPECT_EQ(cached.results[i].run.reason, plain.results[i].run.reason);
-    EXPECT_EQ(cached.results[i].run.stats.steps,
-              plain.results[i].run.stats.steps);
-  }
+  EXPECT_EQ(r2.stats.compiled_selector_evals, 0);
 }
 
 }  // namespace

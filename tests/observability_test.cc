@@ -95,12 +95,10 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
             batch.stats.subcomputations);
   EXPECT_EQ(m.Value("treewalk_interp_atp_calls_total"),
             batch.stats.atp_calls);
-  EXPECT_EQ(m.Value("treewalk_interp_selector_cache_total", "hit"),
-            batch.stats.selector_cache_hits);
-  EXPECT_EQ(m.Value("treewalk_interp_selector_cache_total", "miss"),
-            batch.stats.selector_cache_misses);
   EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
             batch.stats.compiled_selector_evals);
+  EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "reference"),
+            batch.stats.atp_calls - batch.stats.compiled_selector_evals);
   EXPECT_EQ(m.Value("treewalk_interp_store_updates_total"),
             batch.stats.store_updates);
 

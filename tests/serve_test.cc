@@ -5,13 +5,20 @@
 // the books reconcile (admitted == ok + error + drained), and the
 // SIGHUP/Install re-entrancy contract of src/engine/shutdown holds.
 // The subprocess leg runs tools/serve_smoke.sh against the real twq
-// binary and asserts the documented drain exit code 75.
+// binary and asserts the documented drain exit code 75, and checks that
+// twq_loadgen rejects malformed numeric flags before it connects.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -464,6 +471,53 @@ TEST(ServeSmokeTest, DaemonServesLoadAndExits75OnSigterm) {
                         "/tools/serve_smoke.sh " + TREEWALK_TWQ_PATH + " " +
                         TREEWALK_LOADGEN_PATH + " 800 > /dev/null 2>&1";
   EXPECT_EQ(std::system(command.c_str()), 0);
+}
+
+/// Every numeric flag of twq_loadgen, malformed or out of range, is a
+/// usage error (exit 1, the flag named) before any connection is made:
+/// the listener below sees no connection.  Only values rejected while
+/// parsing are tried, so no load and no thread fleet is ever started.
+TEST(LoadgenFlags, MalformedAndOutOfRangeValuesExitOneBeforeConnecting) {
+  const int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(listen(listener, 16), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const std::string base = std::string(TREEWALK_LOADGEN_PATH) + " --port " +
+                           std::to_string(ntohs(addr.sin_port)) +
+                           " --tree t --duration-ms 100 --quiet";
+  const std::string out = ::testing::TempDir() + "loadgen_out." +
+                          std::to_string(::getpid()) + ".txt";
+  for (const std::string bad :
+       {"--port abc", "--port 0", "--port 70000", "--connections abc",
+        "--connections 0", "--connections 100000", "--duration-ms abc",
+        "--duration-ms -5", "--duration-ms 99999999999999999999", "--rate abc",
+        "--rate -1", "--rate nan", "--rate 1e12", "--rate 5x",
+        "--deadline-ms soon", "--io-timeout-ms 1.5", "--retries -1",
+        "--total-deadline-ms x", "--breaker-threshold 2x",
+        "--breaker-cooldown-ms abc", "--hedge-delay-ms abc"}) {
+    const std::string flag = bad.substr(0, bad.find(' '));
+    const std::string command = base + " " + bad + " > " + out + " 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    std::ifstream in(out);
+    const std::string output((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_NE(output.find(flag + " wants"), std::string::npos)
+        << command << "\n" << output;
+  }
+  ASSERT_EQ(fcntl(listener, F_SETFL, O_NONBLOCK), 0);
+  EXPECT_LT(accept(listener, nullptr, nullptr), 0);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+  close(listener);
+  std::remove(out.c_str());
 }
 #endif
 

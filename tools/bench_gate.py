@@ -9,8 +9,11 @@ any series regresses by more than the threshold (default 25%).
     tools/bench_gate.py --fresh-dir build-release/bench --baseline-dir .
     tools/bench_gate.py --fresh BENCH_selectors.json=build-release/bench/BENCH_selectors.json
 
-Series are matched by exact benchmark name.  A series present only in
-the fresh file is reported as NEW and not gated (commit a refreshed
+Series are matched by exact benchmark name and gated on cpu_time, or
+on real_time for UseRealTime series (a `real_time` part in the name,
+as in `BM_X/4/real_time` or `BM_Y/real_time/threads:4`), whose
+cpu_time is only the calling thread's.  A series present only in the
+fresh file is reported as NEW and not gated (commit a refreshed
 baseline to start gating it).  A series present only in the baseline is
 GONE and *fails* the gate with exit 3 — a silently vanished benchmark
 is exactly how a perf regression hides (the arm that regressed gets
@@ -95,7 +98,7 @@ def check_build_type(path, doc):
 
 
 def load_samples(path):
-    """name -> [cpu_time in ns] over the non-aggregate rows, one per
+    """name -> [gated time in ns] over the non-aggregate rows, one per
     repetition."""
     with open(path) as f:
         doc = json.load(f)
@@ -108,17 +111,19 @@ def load_samples(path):
             continue
         if row.get("run_type") == "aggregate":
             continue
-        cpu = row.get("cpu_time")
-        if cpu is None:
+        time = row.get(
+            "real_time" if "real_time" in name.split("/") else "cpu_time"
+        )
+        if time is None:
             continue
         samples.setdefault(name, []).append(
-            cpu * unit_ns.get(row.get("time_unit", "ns"), 1.0)
+            time * unit_ns.get(row.get("time_unit", "ns"), 1.0)
         )
     return samples
 
 
 def load_series(path):
-    """name -> median cpu_time in ns over the series' repetitions."""
+    """name -> median gated time in ns over the series' repetitions."""
     return {
         name: statistics.median(times)
         for name, times in load_samples(path).items()
@@ -234,7 +239,8 @@ def main():
         "--threshold",
         type=float,
         default=0.25,
-        help="fractional cpu-time regression that fails the gate "
+        help="fractional regression of the gated time (cpu_time, or "
+        "real_time on UseRealTime series) that fails the gate "
         "(default 0.25 = 25%%)",
     )
     parser.add_argument(

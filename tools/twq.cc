@@ -118,8 +118,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -159,15 +157,19 @@
 #include "src/tree/term_io.h"
 #include "src/tree/xml_io.h"
 #include "src/xpath/xpath.h"
+#include "tools/flags.h"
+
+namespace treewalk::cli {
+const char kToolName[] = "twq";
+}  // namespace treewalk::cli
 
 namespace tw = treewalk;
 
 namespace {
 
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "twq: %s\n", message.c_str());
-  return 1;
-}
+using tw::cli::Fail;
+using tw::cli::IntFlag;
+using tw::cli::ParseEndpoint;
 
 bool ReadFile(const std::string& path, std::string& out) {
   std::ifstream in(path);
@@ -212,40 +214,6 @@ tw::Result<tw::Tree> LoadTreeCached(const std::string& path,
 /// dirs).  Failure is left for the first file operation to report.
 void EnsureDir(const std::string& dir) {
   ::mkdir(dir.c_str(), 0777);
-}
-
-/// Parses all of `text` as an unsigned base-10 integer in [lo, hi];
-/// nullopt for anything else (empty, a sign or junk, trailing
-/// characters, out of range).
-std::optional<long long> ParseInteger(const char* text, long long lo,
-                                      long long hi) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (errno != 0 || *end != '\0' || value < lo || value > hi) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-/// Reads the value argv[i] of the numeric flag argv[i - 1] into `out`.
-/// A value that is not an integer in [lo, hi] prints a usage error
-/// naming the flag and returns false; the caller exits nonzero.
-template <typename T>
-bool IntFlag(char** argv, int i, T* out, long long lo = 0,
-             long long hi = std::numeric_limits<T>::max()) {
-  const std::optional<long long> value = ParseInteger(argv[i], lo, hi);
-  if (!value.has_value()) {
-    Fail(std::string(argv[i - 1]) + " wants an integer in [" +
-         std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
-         argv[i] + "'");
-    return false;
-  }
-  *out = static_cast<T>(*value);
-  return true;
 }
 
 /// IntFlag for a size given in MiB, stored in bytes.
@@ -585,7 +553,7 @@ int CmdExplain(int argc, char** argv) {
 int CmdBatch(int argc, char** argv) {
   if (argc < 1) {
     return Fail("usage: twq batch <manifest> [--jobs N] [--max-steps M] "
-                "[--quiet] [--no-cache] [--no-compiled] "
+                "[--quiet] [--no-compiled] "
                 "[--deadline-ms D] "
                 "[--memory-budget-mb B] [--retries R] "
                 "[--snapshot-cache <dir>] [--compile-cache <dir>] "
@@ -594,7 +562,6 @@ int CmdBatch(int argc, char** argv) {
   int num_threads = 1;
   long long max_steps = 0;  // 0 = interpreter default
   bool quiet = false;
-  bool cache_selectors = true;
   bool compile_selectors = true;
   long long deadline_ms = 0;        // 0 = no deadline
   std::int64_t memory_budget_bytes = 0;  // 0 = unlimited
@@ -615,8 +582,6 @@ int CmdBatch(int argc, char** argv) {
       if (!IntFlag(argv, ++i, &max_steps)) return 1;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      cache_selectors = false;
     } else if (std::strcmp(argv[i], "--no-compiled") == 0) {
       compile_selectors = false;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
@@ -753,7 +718,6 @@ int CmdBatch(int argc, char** argv) {
       job.program = programs[m.program_path].get();
       job.tree = trees[m.tree_path].get();
       if (max_steps > 0) job.options.max_steps = max_steps;
-      job.options.cache_selectors = cache_selectors;
       job.options.compile_selectors = compile_selectors;
       if (compile_cache.has_value()) {
         job.options.selector_disk_cache = &*compile_cache;
@@ -871,12 +835,11 @@ int CmdBatch(int argc, char** argv) {
     }
     const tw::JobResult& r = batch.results[e.job_index];
     if (!quiet) {
-      std::printf("[%zu] %s %s %s steps=%lld atp=%lld hits=%lld%s\n", i,
+      std::printf("[%zu] %s %s %s steps=%lld atp=%lld%s\n", i,
                   r.run.accepted ? "ACCEPT" : "REJECT",
                   e.program_path.c_str(), e.tree_path.c_str(),
                   static_cast<long long>(r.run.stats.steps),
                   static_cast<long long>(r.run.stats.atp_calls),
-                  static_cast<long long>(r.run.stats.selector_cache_hits),
                   r.attempts.size() > 1 && r.attempts.back().rung > 0
                       ? " (degraded)"
                       : "");
@@ -892,13 +855,11 @@ int CmdBatch(int argc, char** argv) {
                   ? (", " + std::to_string(skipped) + " skipped (journaled)")
                         .c_str()
                   : "");
-  std::printf("steps=%lld atp_calls=%lld cache_hits=%lld cache_misses=%lld "
+  std::printf("steps=%lld atp_calls=%lld "
               "compiled_evals=%lld (interval=%lld dense=%lld) "
               "store_updates=%lld\n",
               static_cast<long long>(s.steps),
               static_cast<long long>(s.atp_calls),
-              static_cast<long long>(s.selector_cache_hits),
-              static_cast<long long>(s.selector_cache_misses),
               static_cast<long long>(s.compiled_selector_evals),
               static_cast<long long>(s.interval_selector_evals),
               static_cast<long long>(s.dense_selector_evals),
@@ -1158,17 +1119,6 @@ int CmdServe(int argc, char** argv) {
   return tw::GracefulShutdown::kExitInterrupted;
 }
 
-bool ParseEndpoint(const std::string& spec, tw::Endpoint* out) {
-  std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
-  out->host = colon == 0 ? "127.0.0.1" : spec.substr(0, colon);
-  const std::optional<long long> port =
-      ParseInteger(spec.c_str() + colon + 1, 1, 65535);
-  if (!port.has_value()) return false;
-  out->port = static_cast<int>(*port);
-  return true;
-}
-
 int CmdQuery(int argc, char** argv) {
   const char* usage =
       "usage: twq query <tree-name> <program.twp> --remote HOST:PORT "
@@ -1189,12 +1139,12 @@ int CmdQuery(int argc, char** argv) {
       }
       have_remote = true;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      int retries = 0;
-      if (!IntFlag(argv, ++i, &retries, 0,
+      int& attempts = options.retry.max_attempts;
+      if (!IntFlag(argv, ++i, &attempts, 0,
                    std::numeric_limits<int>::max() - 1)) {
         return 1;
       }
-      options.retry.max_attempts = retries + 1;
+      ++attempts;  // the first attempt plus the retries
     } else if (std::strcmp(argv[i], "--total-deadline-ms") == 0 &&
                i + 1 < argc) {
       if (!IntFlag(argv, ++i, &options.total_deadline_ms)) return 1;

@@ -37,14 +37,19 @@
 //
 // and the tool exits nonzero when they do not, or when --expect-shed
 // saw no load shedding (the saturation harness asserts both).
+//
+// Numeric flags are parsed strictly (tools/flags.h): a malformed or
+// out-of-range value exits 1 before any connection is made.
+// --connections is capped at 1024 (one thread each), --duration-ms at
+// one day, and --rate at 1e9 requests/s.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -52,10 +57,23 @@
 
 #include "src/client/client.h"
 #include "src/server/frame.h"
+#include "tools/flags.h"
+
+namespace treewalk::cli {
+const char kToolName[] = "twq_loadgen";
+}  // namespace treewalk::cli
 
 namespace tw = treewalk;
 
 namespace {
+
+using tw::cli::Fail;
+using tw::cli::IntFlag;
+using tw::cli::NumberFlag;
+using tw::cli::ParseEndpoint;
+
+constexpr int kMaxConnections = 1024;
+constexpr long long kMaxDurationMs = 24LL * 60 * 60 * 1000;
 
 using Clock = std::chrono::steady_clock;
 
@@ -65,19 +83,6 @@ class tw
 states q0 qf
 rule #top q0 [true] move stay qf
 )twp";
-
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "twq_loadgen: %s\n", message.c_str());
-  return 1;
-}
-
-bool ParseEndpoint(const std::string& spec, tw::Endpoint* out) {
-  std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
-  out->host = colon == 0 ? "127.0.0.1" : spec.substr(0, colon);
-  out->port = std::atoi(spec.c_str() + colon + 1);
-  return out->port > 0 && out->port < 65536;
-}
 
 struct WorkerTally {
   std::int64_t ok = 0;
@@ -120,11 +125,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
       client_options.endpoint.host = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      client_options.endpoint.port = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.endpoint.port, 1, 65535)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
-      connections = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &connections, 1, kMaxConnections)) return 1;
     } else if (std::strcmp(argv[i], "--duration-ms") == 0 && i + 1 < argc) {
-      duration_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &duration_ms, 0, kMaxDurationMs)) return 1;
     } else if (std::strcmp(argv[i], "--tree") == 0 && i + 1 < argc) {
       tree_name = argv[++i];
     } else if (std::strcmp(argv[i], "--program") == 0 && i + 1 < argc) {
@@ -136,30 +143,35 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--program-text") == 0 && i + 1 < argc) {
       program_text = argv[++i];
     } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
+      if (!NumberFlag(argv, ++i, &rate, 0, 1e9)) return 1;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      client_options.request_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.request_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 &&
                i + 1 < argc) {
-      client_options.io_timeout_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.io_timeout_ms)) return 1;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      client_options.retry.max_attempts = std::atoi(argv[++i]) + 1;
+      int& attempts = client_options.retry.max_attempts;
+      if (!IntFlag(argv, ++i, &attempts, 0,
+                   std::numeric_limits<int>::max() - 1)) {
+        return 1;
+      }
+      ++attempts;  // the first attempt plus the retries
     } else if (std::strcmp(argv[i], "--total-deadline-ms") == 0 &&
                i + 1 < argc) {
-      client_options.total_deadline_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.total_deadline_ms)) return 1;
     } else if (std::strcmp(argv[i], "--breaker-threshold") == 0 &&
                i + 1 < argc) {
-      client_options.breaker_threshold = std::atoi(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.breaker_threshold)) return 1;
     } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
                i + 1 < argc) {
-      client_options.breaker_cooldown_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.breaker_cooldown_ms)) return 1;
     } else if (std::strcmp(argv[i], "--hedge") == 0 && i + 1 < argc) {
       if (!ParseEndpoint(argv[++i], &client_options.hedge)) {
         return Fail(std::string("bad --hedge '") + argv[i] + "'");
       }
     } else if (std::strcmp(argv[i], "--hedge-delay-ms") == 0 &&
                i + 1 < argc) {
-      client_options.hedge_delay_ms = std::atoll(argv[++i]);
+      if (!IntFlag(argv, ++i, &client_options.hedge_delay_ms)) return 1;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
     } else if (std::strcmp(argv[i], "--expect-shed") == 0) {
@@ -173,7 +185,6 @@ int main(int argc, char** argv) {
   }
   if (client_options.endpoint.port == 0) return Fail("--port is required");
   if (tree_name.empty()) return Fail("--tree is required");
-  if (connections < 1) return Fail("--connections must be >= 1");
 
   const Clock::time_point start = Clock::now();
   const Clock::time_point stop =
@@ -196,11 +207,14 @@ int main(int argc, char** argv) {
       long long sent = 0;
       while (Clock::now() < stop) {
         if (rate > 0) {
-          Clock::time_point next_arrival =
-              start + std::chrono::milliseconds(static_cast<long long>(
-                          per_thread_interval_ms * static_cast<double>(sent)));
-          if (next_arrival >= stop) break;
-          std::this_thread::sleep_until(next_arrival);
+          // Compared before the cast: a tiny rate's offset may not fit
+          // in the milliseconds count, or be NaN (inf · 0).
+          const double offset_ms =
+              per_thread_interval_ms * static_cast<double>(sent);
+          if (!(offset_ms < static_cast<double>(duration_ms))) break;
+          std::this_thread::sleep_until(
+              start +
+              std::chrono::milliseconds(static_cast<long long>(offset_ms)));
         }
         ++sent;
         Clock::time_point begin = Clock::now();
