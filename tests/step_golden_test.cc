@@ -9,7 +9,9 @@
 // counts, dialogue fingerprints, error codes and messages — is printed
 // one line per case and held byte-for-byte against
 // tests/golden/step_semantics.txt.  A refactor of rule dispatch, moves
-// or guard lookup must leave the file unchanged.
+// or guard lookup must leave the file unchanged.  A second pass reruns
+// the interpreter cases without a trace and holds them to the same
+// lines, trace field aside.
 //
 // On a mismatch the actual record is written to the test's temp
 // directory (the path is printed) so an intended change can be reviewed
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -129,10 +132,14 @@ std::vector<NamedProgram> Programs() {
   return programs;
 }
 
-std::string InterpreterLine(const Program& program, const Tree& tree) {
+/// One interpreter case.  With `trace` off the run takes the untraced
+/// path (the one that tables finished subcomputations) and the line
+/// stops before the trace field.
+std::string InterpreterLine(const Program& program, const Tree& tree,
+                            bool trace = true) {
   RunOptions options;
   options.max_steps = kMaxSteps;
-  options.record_trace = true;
+  options.record_trace = trace;
   options.max_trace_entries = static_cast<std::size_t>(kMaxSteps);
   Result<RunResult> r = Interpreter(program, options).Run(tree);
   if (!r.ok()) return Error(r.status());
@@ -141,8 +148,10 @@ std::string InterpreterLine(const Program& program, const Tree& tree) {
       << " reason=" << RejectReasonName(r->reason)
       << " steps=" << r->stats.steps << " atp=" << r->stats.atp_calls
       << " updates=" << r->stats.store_updates
-      << " max_tuples=" << r->stats.max_store_tuples
-      << " trace=" << r->trace.size() << ":" << Hex(Fnv1a(r->trace));
+      << " max_tuples=" << r->stats.max_store_tuples;
+  if (trace) {
+    out << " trace=" << r->trace.size() << ":" << Hex(Fnv1a(r->trace));
+  }
   return out.str();
 }
 
@@ -288,6 +297,45 @@ TEST(StepGolden, EveryExecutorMatchesTheGoldenRecord) {
            << lg << "\n  actual: " << la << "\nfull record written to "
            << path;
   }
+}
+
+/// The golden record's interpreter lines come from traced runs; the
+/// same cases run untraced must reproduce every field but the trace:
+/// verdict, reason, steps, atp calls, updates and the store high-water
+/// mark, or the same error.
+TEST(StepGolden, UntracedInterpreterMatchesTheGoldenRecord) {
+  std::istringstream golden(ReadWholeFile(
+      std::string(TREEWALK_SOURCE_DIR) + "/tests/golden/step_semantics.txt"));
+  std::map<std::string, std::string> expected;  // "interp P T " -> rest
+  std::string line;
+  while (std::getline(golden, line)) {
+    if (line.rfind("interp ", 0) != 0) continue;
+    const std::size_t program_end = line.find(' ', 7);
+    const std::size_t tree_end = line.find(' ', program_end + 1);
+    std::string rest = line.substr(tree_end + 1);
+    const std::size_t trace = rest.find(" trace=");
+    if (trace != std::string::npos) rest.resize(trace);
+    expected[line.substr(0, tree_end + 1)] = rest;
+  }
+
+  const std::vector<NamedProgram> programs = Programs();
+  std::size_t cases = 0;
+  for (int size : kSizes) {
+    for (int seed = 1; seed <= kSeedsPerSize; ++seed) {
+      for (const NamedTree& t : TreePool(size, seed)) {
+        for (const NamedProgram& p : programs) {
+          const std::string key = "interp " + p.name + " " + t.name + " ";
+          auto it = expected.find(key);
+          ASSERT_NE(it, expected.end()) << key;
+          EXPECT_EQ(InterpreterLine(p.program, t.tree, /*trace=*/false),
+                    it->second)
+              << key;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, expected.size());
 }
 
 }  // namespace
