@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
-#include <set>
-#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/automata/step.h"
@@ -48,6 +49,7 @@ namespace {
 struct InterpMetrics {
   Counter* runs;
   Counter* steps;
+  Counter* tabled_steps;
   Counter* subcomputations;
   Counter* atp_calls;
   Counter* compiled_evals;
@@ -67,8 +69,14 @@ struct InterpMetrics {
       MetricsRegistry& r = MetricsRegistry::Global();
       m->runs = r.FindOrCreateCounter("treewalk_interp_runs_total",
                                       "Interpreter runs started");
-      m->steps = r.FindOrCreateCounter("treewalk_interp_steps_total",
-                                       "Transitions executed");
+      m->steps = r.FindOrCreateCounter(
+          "treewalk_interp_steps_total",
+          "Transitions, including those replayed from the table of "
+          "finished subcomputations");
+      m->tabled_steps = r.FindOrCreateCounter(
+          "treewalk_interp_tabled_steps_total",
+          "Transitions replayed from the table of finished subcomputations "
+          "(counted in treewalk_interp_steps_total too)");
       m->subcomputations =
           r.FindOrCreateCounter("treewalk_interp_subcomputations_total",
                                 "atp() subcomputations spawned");
@@ -76,11 +84,11 @@ struct InterpMetrics {
                                            "atp() rule firings");
       m->compiled_evals = r.FindOrCreateCounter(
           "treewalk_interp_selector_evals_total",
-          "Actual selector evaluations by evaluator path",
+          "Selector evaluations by evaluator path, table replays included",
           {{"path", "compiled"}});
       m->reference_evals = r.FindOrCreateCounter(
           "treewalk_interp_selector_evals_total",
-          "Actual selector evaluations by evaluator path",
+          "Selector evaluations by evaluator path, table replays included",
           {{"path", "reference"}});
       m->interval_evals = r.FindOrCreateCounter(
           "treewalk_interp_selector_repr_total",
@@ -121,12 +129,63 @@ struct InterpMetrics {
   }
 };
 
+using StateId = std::uint32_t;
+using StoreId = std::uint32_t;
+constexpr StoreId kNoStore = ~StoreId{0};
+
+/// A configuration [u, q, tau] on interned ids.
+struct ConfigKey {
+  NodeId node;
+  StateId state;
+  StoreId store;
+
+  friend bool operator==(const ConfigKey&, const ConfigKey&) = default;
+};
+
+struct ConfigKeyHash {
+  std::size_t operator()(const ConfigKey& k) const {
+    std::uint64_t h = (std::uint64_t{static_cast<std::uint32_t>(k.node)}
+                       << 32) |
+                      k.state;
+    h ^= std::uint64_t{k.store} * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+
+/// Governor charges (kCycleMemo) for the structures keyed by interned
+/// ids, in bytes.  A hash-set or hash-map node is the payload plus a
+/// link and an allocator header (16), and its bucket slot (8).
+constexpr std::int64_t kNodeOverheadBytes = 24;
+
 /// Outcome of one (sub)computation.
 struct Outcome {
   bool accepted = false;
   RejectReason reason = RejectReason::kNone;
-  /// Content of the first register at acceptance (what atp() collects).
+  /// The store at acceptance, when stores are interned; its first
+  /// register is what atp() collects.
+  StoreId final_store = kNoStore;
+  /// That register's content, copied, when stores are not interned.
   Relation returned{0};
+};
+
+/// A finished atp() subcomputation: its outcome and what its suffix of
+/// the run added to RunStats, so a later call on the same configuration
+/// replays it instead of walking it again.
+struct TableEntry {
+  std::int64_t steps = 0;
+  std::int64_t subcomputations = 0;
+  std::int64_t atp_calls = 0;
+  std::int64_t store_updates = 0;
+  std::int64_t compiled_evals = 0;
+  std::int64_t interval_evals = 0;
+  std::int64_t dense_evals = 0;
+  /// The deepest atp() nesting inside the suffix, relative to its call.
+  int depth = 0;
+  StoreId final_store = kNoStore;
+  bool accepted = false;
+  RejectReason reason = RejectReason::kNone;
 };
 
 class Runner {
@@ -135,24 +194,37 @@ class Runner {
       : program_(program),
         tree_(tree),
         options_(options),
-        dispatch_(program.rules(), tree) {
+        dispatch_(program.rules(), tree),
+        tabling_(options.detect_cycles && !options.record_trace),
+        run_charge_(options.governor, MemoryCategory::kCycleMemo) {
+    // Dense state ids: each state's index in Program::States().
+    state_names_ = program.States();
+    std::unordered_map<std::string, StateId> ids;
+    for (StateId i = 0; i < state_names_.size(); ++i) {
+      ids.emplace(state_names_[i], i);
+    }
+    initial_state_ = ids.at(program.initial_state());
+    final_state_ = ids.at(program.final_state());
     // Selector identities: rules whose selectors print identically
     // evaluate identically, so they share one id (the first such rule's
     // index) and with it one plan and one compile.
-    selector_ids_.resize(program.rules().size(), 0);
+    const std::size_t num_rules = program.rules().size();
+    selector_ids_.resize(num_rules, 0);
+    next_states_.resize(num_rules, 0);
+    call_states_.resize(num_rules, 0);
     std::map<std::string, std::size_t> first_use;
-    for (std::size_t i = 0; i < program.rules().size(); ++i) {
+    for (std::size_t i = 0; i < num_rules; ++i) {
       const Rule& rule = program.rules()[i];
+      next_states_[i] = ids.at(rule.action.next_state);
       if (rule.action.kind != Action::Kind::kLookAhead) continue;
+      call_states_[i] = ids.at(rule.action.call_state);
       selector_ids_[i] =
           first_use.emplace(rule.action.selector.ToString(), i).first->second;
     }
   }
 
   Result<RunResult> Run() {
-    Result<Outcome> outcome =
-        Compute(tree_.root(), program_.initial_state(),
-                program_.initial_store(), /*depth=*/0);
+    Result<Outcome> outcome = Start();
     // Flush stats into the registry whether the run completed or
     // aborted — observability counts work done, not work finished.
     FlushMetrics();
@@ -166,10 +238,136 @@ class Runner {
   }
 
  private:
-  using ConfigKey = std::tuple<NodeId, std::string, Store>;
+  Result<Outcome> Start() {
+    const Store& initial = program_.initial_store();
+    if (!options_.detect_cycles) {
+      return Compute(tree_.root(), initial_state_, initial, kNoStore, 0);
+    }
+    TREEWALK_ASSIGN_OR_RETURN(StoreId id, Intern(Store(initial)));
+    return Compute(tree_.root(), initial_state_, stores_[id], id, 0);
+  }
 
-  Result<Outcome> Compute(NodeId start, const std::string& start_state,
-                          Store store, int depth) {
+  /// The hash-consed id of `store`: an existing id when an equal store
+  /// was reached before in this run, else a fresh one.  Keyed by
+  /// Fingerprint(), with exact comparison on collision.
+  Result<StoreId> Intern(Store store) {
+    const std::uint64_t fingerprint = store.Fingerprint();
+    auto [first, last] = store_index_.equal_range(fingerprint);
+    for (auto it = first; it != last; ++it) {
+      if (stores_[it->second] == store) return it->second;
+    }
+    // The Store in its pool slot, each tuple at pointer-ish granularity
+    // as the store charge counts them, and the index node (a 16-byte
+    // fingerprint/id payload).
+    TREEWALK_RETURN_IF_ERROR(run_charge_.Add(
+        static_cast<std::int64_t>(sizeof(Store)) + kNodeOverheadBytes + 16 +
+        static_cast<std::int64_t>(store.TotalTuples()) * 24));
+    const StoreId id = static_cast<StoreId>(stores_.size());
+    stores_.push_back(std::move(store));
+    store_index_.emplace(fingerprint, id);
+    return id;
+  }
+
+  /// Makes `relation` register `index` of the current store.  With
+  /// interning the new store is hash-consed and `store` points into the
+  /// run's pool; without it the frame's `owned` copy is edited in place.
+  Status ReplaceRegister(const Store*& store, StoreId& store_id, Store& owned,
+                         std::size_t index, Relation relation) {
+    if (!options_.detect_cycles) {
+      if (store != &owned) {
+        owned = *store;
+        store = &owned;
+      }
+      return owned.Replace(index, std::move(relation));
+    }
+    Store next = *store;
+    TREEWALK_RETURN_IF_ERROR(next.Replace(index, std::move(relation)));
+    TREEWALK_ASSIGN_OR_RETURN(store_id, Intern(std::move(next)));
+    store = &stores_[store_id];
+    return Status::Ok();
+  }
+
+  /// What an accepting subcomputation hands back to atp().
+  const Relation& Returned(const Outcome& out) const {
+    return out.final_store == kNoStore ? out.returned
+                                       : stores_[out.final_store].At(0);
+  }
+
+  /// One atp() subcomputation, answered from the table when the same
+  /// configuration already finished this run.  Under Definition 3.1 a
+  /// run is deterministic, so a call started at [v, p, tau] always ends
+  /// the same way; only finished outcomes are entered (an error aborts
+  /// the run, and a call still on the stack is absent, so
+  /// self-recursion still ends in the max_depth error).  A hit replays
+  /// the suffix's counts; it is taken only when the replayed steps and
+  /// nesting fit the limits, so a limit that falls inside the suffix
+  /// trips exactly where the untabled run trips.  Planner picks and the
+  /// store high-water mark need no replay: the suffix ran earlier in
+  /// this run, so both already cover it.
+  Result<Outcome> Call(NodeId v, StateId call_state, const Store& store,
+                       StoreId store_id, int depth) {
+    if (!tabling_) return Compute(v, call_state, store, store_id, depth);
+    const ConfigKey key{v, call_state, store_id};
+    auto hit = table_.find(key);
+    const bool known = hit != table_.end();
+    if (known) {
+      const TableEntry& e = hit->second;
+      if (stats_.steps + e.steps <= options_.max_steps &&
+          depth + e.depth <= options_.max_depth) {
+        stats_.steps += e.steps;
+        stats_.tabled_steps += e.steps;
+        stats_.subcomputations += e.subcomputations;
+        stats_.atp_calls += e.atp_calls;
+        stats_.store_updates += e.store_updates;
+        stats_.compiled_selector_evals += e.compiled_evals;
+        stats_.interval_selector_evals += e.interval_evals;
+        stats_.dense_selector_evals += e.dense_evals;
+        stats_.max_depth_reached =
+            std::max(stats_.max_depth_reached, depth + e.depth);
+        suffix_depth_ = std::max(suffix_depth_, depth + e.depth);
+        Outcome out;
+        out.accepted = e.accepted;
+        out.reason = e.reason;
+        out.final_store = e.final_store;
+        return out;
+      }
+    }
+
+    const RunStats before = stats_;
+    const int outer_depth = suffix_depth_;
+    suffix_depth_ = depth;
+    TREEWALK_ASSIGN_OR_RETURN(Outcome out,
+                              Compute(v, call_state, store, store_id, depth));
+    TableEntry e;
+    e.steps = stats_.steps - before.steps;
+    e.subcomputations = stats_.subcomputations - before.subcomputations;
+    e.atp_calls = stats_.atp_calls - before.atp_calls;
+    e.store_updates = stats_.store_updates - before.store_updates;
+    e.compiled_evals =
+        stats_.compiled_selector_evals - before.compiled_selector_evals;
+    e.interval_evals =
+        stats_.interval_selector_evals - before.interval_selector_evals;
+    e.dense_evals = stats_.dense_selector_evals - before.dense_selector_evals;
+    e.depth = suffix_depth_ - depth;
+    e.final_store = out.final_store;
+    e.accepted = out.accepted;
+    e.reason = out.reason;
+    suffix_depth_ = std::max(outer_depth, suffix_depth_);
+    if (!known) {
+      TREEWALK_RETURN_IF_ERROR(run_charge_.Add(
+          static_cast<std::int64_t>(sizeof(ConfigKey) + sizeof(TableEntry)) +
+          kNodeOverheadBytes));
+      table_.emplace(key, e);
+    }
+    return out;
+  }
+
+  /// The computation started at [start, start_state, start_store].
+  /// `start_id` is the store's interned id, or kNoStore with cycle
+  /// detection off.
+  Result<Outcome> Compute(NodeId start, StateId start_state,
+                          const Store& start_store, StoreId start_id,
+                          int depth) {
     if (depth > options_.max_depth) {
       return ResourceExhausted("atp nesting exceeded max_depth=" +
                                std::to_string(options_.max_depth));
@@ -177,8 +375,11 @@ class Runner {
     stats_.max_depth_reached = std::max(stats_.max_depth_reached, depth);
 
     NodeId u = start;
-    std::string state = start_state;
-    std::set<ConfigKey> visited;
+    StateId state = start_state;
+    const Store* store = &start_store;
+    StoreId store_id = start_id;
+    Store owned;  // the current store when stores are not interned
+    std::unordered_set<ConfigKey, ConfigKeyHash> visited;
     // The memo lives for this (sub)computation; its budget charge is
     // released with it at scope exit.
     ScopedMemoryCharge memo_charge(options_.governor,
@@ -192,26 +393,28 @@ class Runner {
       }
       TREEWALK_RETURN_IF_ERROR(GovernorCheckDeadline(options_.governor));
       TREEWALK_FAILPOINT("interpreter/step");
-      if (state == program_.final_state()) {
+      if (state == final_state_) {
         Outcome out;
         out.accepted = true;
-        if (store.num_relations() > 0) out.returned = store.At(0);
+        out.final_store = store_id;
+        if (store_id == kNoStore && store->num_relations() > 0) {
+          out.returned = store->At(0);
+        }
         return out;
       }
       if (options_.detect_cycles) {
-        if (!visited.insert(ConfigKey(u, state, store)).second) {
+        if (!visited.insert(ConfigKey{u, state, store_id}).second) {
           return Rejected(RejectReason::kCycle);
         }
-        // ~per-entry footprint: tree-node overhead + key payload, with
-        // each store tuple counted at pointer-ish granularity.
         TREEWALK_RETURN_IF_ERROR(memo_charge.Add(
-            64 + static_cast<std::int64_t>(state.size()) +
-            static_cast<std::int64_t>(store.TotalTuples()) * 24));
+            static_cast<std::int64_t>(sizeof(ConfigKey)) +
+            kNodeOverheadBytes));
       }
 
       TREEWALK_ASSIGN_OR_RETURN(
           const Rule* rule,
-          FindRule(program_, dispatch_, tree_, u, state, store));
+          FindRule(program_, dispatch_, tree_, u, state_names_[state],
+                   *store));
       if (rule == nullptr) return Rejected(RejectReason::kStuck);
 
       if (++stats_.steps > options_.max_steps) {
@@ -223,8 +426,10 @@ class Runner {
         TREEWALK_RETURN_IF_ERROR(
             GovernorCharge(options_.governor, MemoryCategory::kTrace, 128));
       }
-      Trace(u, state, *rule);
+      Trace(u, state_names_[state], *rule);
 
+      const std::size_t rule_index =
+          static_cast<std::size_t>(rule - program_.rules().data());
       const Action& action = rule->action;
       switch (action.kind) {
         case Action::Kind::kMove: {
@@ -234,12 +439,13 @@ class Runner {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeStoreContext(tree_, u, store);
+          StoreContext context = MakeStoreContext(tree_, u, *store);
           TREEWALK_ASSIGN_OR_RETURN(
               Relation result,
               EvalStoreFormula(context, action.update, action.update_vars));
           TREEWALK_RETURN_IF_ERROR(CheckDiscipline(result, "update"));
-          TREEWALK_RETURN_IF_ERROR(store.Replace(
+          TREEWALK_RETURN_IF_ERROR(ReplaceRegister(
+              store, store_id, owned,
               static_cast<std::size_t>(action.register_index),
               std::move(result)));
           ++stats_.store_updates;
@@ -248,8 +454,6 @@ class Runner {
         case Action::Kind::kLookAhead: {
           ++stats_.subcomputations;
           ++stats_.atp_calls;
-          std::size_t rule_index =
-              static_cast<std::size_t>(rule - program_.rules().data());
           TREEWALK_ASSIGN_OR_RETURN(
               std::vector<NodeId> selected,
               EvalSelector(selector_ids_[rule_index], action.selector, u));
@@ -260,25 +464,27 @@ class Runner {
                 std::to_string(selected.size()) +
                 " nodes; Definition 5.1 allows at most one");
           }
-          Relation collected(store.At(0).arity());
+          Relation collected(store->At(0).arity());
           for (NodeId v : selected) {
             TREEWALK_ASSIGN_OR_RETURN(
-                Outcome sub, Compute(v, action.call_state, store, depth + 1));
+                Outcome sub, Call(v, call_states_[rule_index], *store,
+                                  store_id, depth + 1));
             if (!sub.accepted) {
               return Rejected(RejectReason::kSubcomputationRejected);
             }
-            collected.UnionWith(sub.returned);
+            collected.UnionWith(Returned(sub));
           }
           TREEWALK_RETURN_IF_ERROR(CheckDiscipline(collected, "look-ahead"));
-          TREEWALK_RETURN_IF_ERROR(store.Replace(
+          TREEWALK_RETURN_IF_ERROR(ReplaceRegister(
+              store, store_id, owned,
               static_cast<std::size_t>(action.register_index),
               std::move(collected)));
           ++stats_.store_updates;
           break;
         }
       }
-      state = action.next_state;
-      std::size_t tuples = store.TotalTuples();
+      state = next_states_[rule_index];
+      std::size_t tuples = store->TotalTuples();
       if (tuples > stats_.max_store_tuples) {
         // Store growth is charged at its high-water mark across the
         // whole run (monotone; never released).
@@ -385,6 +591,7 @@ class Runner {
     InterpMetrics& m = InterpMetrics::Get();
     m.runs->Increment();
     m.steps->Increment(stats_.steps);
+    m.tabled_steps->Increment(stats_.tabled_steps);
     m.subcomputations->Increment(stats_.subcomputations);
     m.atp_calls->Increment(stats_.atp_calls);
     m.compiled_evals->Increment(stats_.compiled_selector_evals);
@@ -441,7 +648,30 @@ class Runner {
   const Tree& tree_;
   const RunOptions& options_;
   const RuleDispatch dispatch_;
+  /// The outcome table is on: cycle detection on and no trace.  Traced
+  /// runs stay the untabled reference; with detection off (degradation
+  /// rung 3) nothing is interned or tabled.
+  const bool tabling_;
+  /// kCycleMemo charges held for the whole run: interned stores and
+  /// table entries.  Released when the run ends.
+  ScopedMemoryCharge run_charge_;
+  std::vector<std::string> state_names_;  // Program::States(), by StateId
+  StateId initial_state_ = 0;
+  StateId final_state_ = 0;
+  /// Per rule index: the successor state and, for look-aheads, the call
+  /// state.
+  std::vector<StateId> next_states_;
+  std::vector<StateId> call_states_;
   std::vector<std::size_t> selector_ids_;
+  /// The run's hash-consed stores (stable addresses), by StoreId, and
+  /// their index by Fingerprint().
+  std::deque<Store> stores_;
+  std::unordered_multimap<std::uint64_t, StoreId> store_index_;
+  /// Finished atp() subcomputations by call configuration.
+  std::unordered_map<ConfigKey, TableEntry, ConfigKeyHash> table_;
+  /// The deepest nesting reached inside the innermost call being
+  /// tabled.
+  int suffix_depth_ = 0;
   std::optional<AxisIndex> axis_index_;
   std::optional<std::uint64_t> tree_hash_;  // lazy; disk-cache key half
   /// Lazy tree statistics for the planner (snapshot-preloaded or one

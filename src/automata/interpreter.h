@@ -30,8 +30,13 @@ struct RunOptions {
   bool record_trace = false;
   std::size_t max_trace_entries = 1000;
   /// Ablation: exact cycle detection memoizes every configuration
-  /// (node, state, store) of a computation, which costs a store copy and
-  /// an ordered-set insert per step.  With detection off, a looping
+  /// (node, state, store) of a computation.  Stores are hash-consed per
+  /// run, so the memo key is three integers: one hash-set insert per
+  /// step, plus one fingerprint and intern lookup per store update.
+  /// The same interned ids key the run-wide table of finished atp()
+  /// subcomputations (docs/EVALUATOR.md, "Tabled walking"), which is
+  /// active only with detection on and record_trace off.  With
+  /// detection off there is neither memo nor table: a looping
   /// computation runs into max_steps (kResourceExhausted) instead of
   /// rejecting with kCycle; terminating runs are unaffected.
   bool detect_cycles = true;
@@ -85,7 +90,12 @@ enum class RejectReason {
 const char* RejectReasonName(RejectReason r);
 
 struct RunStats {
+  /// Definition 3.1 transitions, including those a table hit replayed.
   std::int64_t steps = 0;
+  /// The part of `steps` replayed from the table of finished
+  /// subcomputations instead of executed; steps - tabled_steps were
+  /// executed.  Always 0 for traced runs and with detect_cycles off.
+  std::int64_t tabled_steps = 0;
   std::int64_t subcomputations = 0;
   /// atp() rule firings (each may spawn several subcomputations).
   std::int64_t atp_calls = 0;

@@ -1,5 +1,7 @@
 #include "src/automata/step.h"
 
+#include <optional>
+
 namespace treewalk {
 
 NodeId MoveFrom(const Tree& tree, NodeId u, Move move) {
@@ -58,12 +60,19 @@ Result<const Rule*> FindRule(const Program& program,
   std::span<const std::uint32_t> candidates = dispatch.Candidates(state, label);
   if (candidates.empty()) return nullptr;
   const Rule* found = nullptr;
-  StoreContext context = MakeStoreContext(tree, u, store);
+  // Built at the first guard that reads the store, at most once.  A
+  // literal `true` guard holds without it: EvalStoreSentence(context,
+  // true) cannot fail, so skipping the validation, free-variable scan
+  // and active-domain sort is exactly equivalent.
+  std::optional<StoreContext> context;
   for (std::uint32_t i : candidates) {
     const Rule& rule = program.rules()[i];
-    TREEWALK_ASSIGN_OR_RETURN(bool holds,
-                              EvalStoreSentence(context, rule.guard));
-    if (!holds) continue;
+    if (!rule.guard.valid() || rule.guard.node().kind != FormulaKind::kTrue) {
+      if (!context.has_value()) context = MakeStoreContext(tree, u, store);
+      TREEWALK_ASSIGN_OR_RETURN(bool holds,
+                                EvalStoreSentence(*context, rule.guard));
+      if (!holds) continue;
+    }
     if (found != nullptr) {
       return Nondeterminism("rules for (" + tree.LabelName(label) + ", " +
                             state + ") both apply: guards " +

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Pins two rules of tools/bench_gate.py: the gate compares the median
-of a series' repetition rows, not the last row or the mean; and it
-gates UseRealTime series on real_time, other series on cpu_time.
+"""Pins three rules of tools/bench_gate.py: the gate compares the median
+of a series' repetition rows, not the last row or the mean; it gates
+UseRealTime series on real_time, other series on cpu_time; and it
+refuses (exit 2) a fresh file stamped with a different core count than
+its baseline.
 
     tests/bench_gate_test.py tools/bench_gate.py
 
@@ -20,6 +22,9 @@ BM_Loop/real_time/threads:4 (the name shape of a ->Threads(N) arm)
 does the same, 30 -> 60us against 7.0 -> 7.1us.  BM_Serial/1 triples
 its real_time but keeps cpu_time within 5%, and passes: a series
 without UseRealTime stays on cpu_time.
+
+The core-count fixture (fresh_other_cores.json) matches the 1-core
+baseline's timings exactly but says num_cpus 4: the gate refuses it.
 """
 
 import os
@@ -76,6 +81,11 @@ def main():
            "threaded UseRealTime series gated on real_time", out)
     expect("  OK       BM_Serial/1: 10000000ns -> 10500000ns (+5.0%)" in out,
            "other series still gated on cpu_time", out)
+
+    code, out = run_gate(gate, fixtures, fresh="fresh_other_cores.json")
+    expect(code == 2, f"mismatched core counts: want exit 2, got {code}", out)
+    expect("recorded on 4 cores but the baseline" in out,
+           "core-count refusal names both counts", out)
 
     for failure in failures:
         print("FAIL:", failure)

@@ -2,14 +2,18 @@
 // tier-1 tests: Theorem 7.1(2)'s configuration-graph evaluator must
 // agree with the direct interpreter on every program, and the Lemma 4.5
 // protocol verdict must agree with the direct tw^{r,l} verdict on split
-// strings.  Random inputs; every assertion names its seed so a failure
-// reproduces.
+// strings.  The interpreter's table of finished subcomputations is held
+// to its untabled twin (a traced run) and to the configuration graph's
+// step count.  Random inputs; every assertion names its seed so a
+// failure reproduces.
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
+#include "src/automata/builder.h"
 #include "src/automata/interpreter.h"
 #include "src/automata/library.h"
 #include "src/hyperset/hyperset.h"
@@ -138,6 +142,146 @@ TEST(DifferentialOracle, ProtocolVerdictAgreesWithDirectVerdict) {
           << "seed " << seed << " program " << pi << ": " << direct.status();
       EXPECT_EQ(protocol->accepted, direct->accepted)
           << "seed " << seed << " program " << pi;
+    }
+  }
+}
+
+/// A run's observable result as one comparable string: the status
+/// code and message of an error, or the verdict, reason and every
+/// RunStats field except tabled_steps.
+std::string Observed(const Result<RunResult>& r) {
+  if (!r.ok()) {
+    return std::string("error ") + StatusCodeName(r.status().code()) + " " +
+           r.status().message();
+  }
+  const RunStats& s = r->stats;
+  return "accepted=" + std::to_string(r->accepted) + " reason=" +
+         RejectReasonName(r->reason) + " steps=" + std::to_string(s.steps) +
+         " subs=" + std::to_string(s.subcomputations) +
+         " atp=" + std::to_string(s.atp_calls) +
+         " compiled=" + std::to_string(s.compiled_selector_evals) +
+         " interval=" + std::to_string(s.interval_selector_evals) +
+         " dense=" + std::to_string(s.dense_selector_evals) +
+         " picks=" + std::to_string(s.planner_picks_reference) + "/" +
+         std::to_string(s.planner_picks_dense) + "/" +
+         std::to_string(s.planner_picks_interval) +
+         " updates=" + std::to_string(s.store_updates) +
+         " max_tuples=" + std::to_string(s.max_store_tuples) +
+         " depth=" + std::to_string(s.max_depth_reached);
+}
+
+/// Runs `program` on `t` traced (the untabled twin) and untraced
+/// (tabled) under `options`, expects the same observable result, and
+/// returns the tabled run's replayed steps (0 on error).
+std::int64_t ExpectTabledMatchesUntabled(const Program& program,
+                                         const Tree& t, RunOptions options,
+                                         const std::string& what) {
+  options.record_trace = true;
+  Result<RunResult> untabled = Interpreter(program, options).Run(t);
+  options.record_trace = false;
+  Result<RunResult> tabled = Interpreter(program, options).Run(t);
+  EXPECT_EQ(Observed(tabled), Observed(untabled)) << what;
+  if (untabled.ok()) {
+    EXPECT_EQ(untabled->stats.tabled_steps, 0) << what;
+  }
+  return tabled.ok() ? tabled->stats.tabled_steps : 0;
+}
+
+/// Tabled walking is invisible: on every library program x random tree
+/// and on the Example 3.2 workload, the tabled run and the traced,
+/// untabled run agree on verdict, reason and RunStats (tabled_steps
+/// aside).
+TEST(DifferentialOracle, TabledRunsMatchTheUntabledTwin) {
+  std::vector<Program> programs = LibraryPrograms();
+  RandomTreeOptions options;
+  options.labels = {"a", "b", "sigma", "delta"};
+  options.attributes = {"a"};
+  options.value_range = 3;
+  for (unsigned seed = 0; seed < 12; ++seed) {
+    std::mt19937 rng(seed);
+    options.num_nodes = 4 + static_cast<int>(seed) * 6;
+    Tree t = RandomTree(rng, options);
+    for (std::size_t pi = 0; pi < programs.size(); ++pi) {
+      ExpectTabledMatchesUntabled(
+          programs[pi], t, {},
+          "seed " + std::to_string(seed) + " program " + std::to_string(pi));
+    }
+  }
+
+  Program p = std::move(Example32Program("a")).value();
+  std::int64_t replayed = 0;
+  for (unsigned seed = 100; seed < 112; ++seed) {
+    std::mt19937 rng(seed);
+    Tree t = Example32Tree(rng, 20 + 40 * static_cast<int>(seed % 6),
+                           /*uniform=*/seed % 2 == 0);
+    replayed += ExpectTabledMatchesUntabled(p, t, {},
+                                            "seed " + std::to_string(seed));
+  }
+  EXPECT_GT(replayed, 0) << "the Example 3.2 workload never hit the table";
+}
+
+/// Theorem 7.1(2)'s evaluator walks every distinct call configuration
+/// once; so does the tabled interpreter.  The steps it executed (steps
+/// minus tabled_steps) equal the configuration graph's steps.
+TEST(DifferentialOracle, TabledExecutedStepsEqualConfigGraphSteps) {
+  Program p = std::move(Example32Program("a")).value();
+  unsigned seed = 200;
+  for (int n : {50, 200, 1000}) {
+    for (bool uniform : {true, false}) {
+      std::mt19937 rng(++seed);
+      Tree t = Example32Tree(rng, n, uniform);
+      auto direct = Interpreter(p).Run(t);
+      auto graph = EvaluateViaConfigGraph(p, t);
+      ASSERT_TRUE(direct.ok()) << "seed " << seed << ": " << direct.status();
+      ASSERT_TRUE(graph.ok()) << "seed " << seed << ": " << graph.status();
+      EXPECT_EQ(direct->accepted, graph->accepted) << "seed " << seed;
+      EXPECT_EQ(direct->stats.steps - direct->stats.tabled_steps,
+                graph->steps)
+          << "seed " << seed << " n=" << n;
+    }
+  }
+}
+
+/// A limit that falls inside a replayable suffix: the hit is declined
+/// and the suffix recomputed, so the run fails with the untabled run's
+/// status code and message, at the same step.
+TEST(DifferentialOracle, TabledLimitsTripLikeTheUntabledRun) {
+  Program p = std::move(Example32Program("a")).value();
+  std::mt19937 rng(300);
+  Tree t = Example32Tree(rng, 40, /*uniform=*/true);
+  RunResult full = std::move(Interpreter(p).Run(t)).value();
+  ASSERT_GT(full.stats.tabled_steps, 0);
+  for (std::int64_t limit = 1; limit <= full.stats.steps + 1; ++limit) {
+    RunOptions options;
+    options.max_steps = limit;
+    ExpectTabledMatchesUntabled(p, t, options,
+                                "max_steps=" + std::to_string(limit));
+  }
+
+  // The same call configuration, (root, b, tau), first at depth 1 and
+  // then at depth 2 under a: its suffix nests one level deeper, so the
+  // second call replays only while max_depth leaves room for it.
+  ProgramBuilder b(ProgramClass::kTwRL);
+  b.SetStates("q0", "qf");
+  b.DeclareRegister("X1", 1);
+  b.OnLookAhead("#top", "q0", "true", "q1", "X1", "x = y", "b");
+  b.OnLookAhead("#top", "q1", "true", "qf", "X1", "x = y", "a");
+  b.OnLookAhead("#top", "a", "true", "qf", "X1", "x = y", "b");
+  b.OnLookAhead("#top", "b", "true", "qf", "X1", "x = y", "c");
+  b.OnMove("#top", "c", "true", "qf", Move::kStay);
+  Program nested = std::move(b.Build()).value();
+  Tree one = std::move(ParseTerm("a")).value();
+  RunResult deep = std::move(Interpreter(nested).Run(one)).value();
+  ASSERT_TRUE(deep.accepted);
+  ASSERT_GT(deep.stats.tabled_steps, 0);
+  for (int depth = 0; depth <= 4; ++depth) {
+    for (std::int64_t limit = 1; limit <= deep.stats.steps + 1; ++limit) {
+      RunOptions options;
+      options.max_depth = depth;
+      options.max_steps = limit;
+      ExpectTabledMatchesUntabled(nested, one, options,
+                                  "max_depth=" + std::to_string(depth) +
+                                      " max_steps=" + std::to_string(limit));
     }
   }
 }

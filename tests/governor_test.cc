@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <random>
 #include <thread>
 
 #include "src/automata/builder.h"
@@ -274,6 +275,42 @@ TEST(GovernedInterpreter, CycleMemoChargesAreReleasedAfterTheRun) {
   EXPECT_TRUE(run.accepted || !run.accepted);  // ran to a verdict
   EXPECT_EQ(governor.accountant()->used(MemoryCategory::kCycleMemo), 0);
   EXPECT_GT(governor.accountant()->peak(), 0);
+}
+
+/// Interned stores and the table of finished subcomputations are held
+/// for the whole run under the cycle-memo category: a tight budget trips
+/// on them with a typed error naming the category, and a budget they
+/// fit in leaves the run as it is unbudgeted.  Selectors run on the
+/// reference evaluator, so the axis index and compiled selectors charge
+/// nothing.
+TEST(GovernedInterpreter, TableChargesTheCycleMemo) {
+  Program p = std::move(Example32Program("a")).value();
+  std::mt19937 rng(9);
+  Tree t = Example32Tree(rng, 400, /*uniform=*/true);
+  RunOptions options;
+  options.compile_selectors = false;
+  RunResult plain = std::move(Interpreter(p, options).Run(t)).value();
+  ASSERT_GT(plain.stats.tabled_steps, 0);
+
+  ResourceGovernor tight;
+  tight.set_memory_budget(8 << 10);
+  options.governor = &tight;
+  auto run = Interpreter(p, options).Run(t);
+  ASSERT_EQ(run.status().code(), StatusCode::kResourceExhausted)
+      << run.status();
+  EXPECT_NE(run.status().message().find("to cycle-memo"), std::string::npos)
+      << run.status();
+  EXPECT_NE(run.status().message().find("cycle-memo="), std::string::npos)
+      << run.status();
+
+  ResourceGovernor loose;
+  loose.set_memory_budget(std::int64_t{1} << 20);
+  options.governor = &loose;
+  RunResult governed = std::move(Interpreter(p, options).Run(t)).value();
+  EXPECT_EQ(governed.accepted, plain.accepted);
+  EXPECT_EQ(governed.stats, plain.stats);
+  EXPECT_GT(loose.accountant()->peak(MemoryCategory::kCycleMemo), 0);
+  EXPECT_EQ(loose.accountant()->used(MemoryCategory::kCycleMemo), 0);
 }
 
 }  // namespace

@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/automata/builder.h"
+#include "src/automata/interpreter.h"
 #include "src/automata/library.h"
 #include "src/common/failpoint.h"
 #include "src/common/metrics.h"
@@ -113,6 +115,28 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
             static_cast<std::uint64_t>(batch.stats.jobs));
   EXPECT_EQ(m.Value("treewalk_engine_jobs_running"), 0);
   EXPECT_EQ(m.Value("treewalk_engine_workers"), 4);
+}
+
+/// Replayed steps are flushed once per run beside the steps counter:
+/// on a fresh registry, traced (untabled) and untraced (tabled) runs of
+/// Example 3.2 add their RunStats::tabled_steps, and the steps counter
+/// still counts every transition, replayed ones included.
+TEST_F(ObservabilityTest, TabledStepsCounterMatchesRunStats) {
+  Program p = std::move(Example32Program("a")).value();
+  std::mt19937 rng(4);
+  Tree t = Example32Tree(rng, 200, /*uniform=*/true);
+  RunOptions traced;
+  traced.record_trace = true;
+  RunResult untabled = std::move(Interpreter(p, traced).Run(t)).value();
+  RunResult tabled = std::move(Interpreter(p).Run(t)).value();
+  ASSERT_EQ(untabled.stats.tabled_steps, 0);
+  ASSERT_GT(tabled.stats.tabled_steps, 0);
+
+  const MetricsSnapshot m = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(m.Value("treewalk_interp_tabled_steps_total"),
+            tabled.stats.tabled_steps);
+  EXPECT_EQ(m.Value("treewalk_interp_steps_total"),
+            untabled.stats.steps + tabled.stats.steps);
 }
 
 TEST_F(ObservabilityTest, RetriesAndFailuresReconcile) {

@@ -50,9 +50,11 @@ arm on at least one workload.  Violations exit 1.
 Exit codes:
   0  ok (or --write-baseline completed)
   1  regression over threshold, or planner contract violated
-  2  bad invocation, malformed/missing fresh JSON, or a debug-build
+  2  bad invocation, malformed/missing fresh JSON, a debug-build
      file on either side (baselines and candidates must both come from
-     the release preset)
+     the release preset), or a baseline and a fresh file stamped with
+     different context.num_cpus (timings from machines of different
+     core counts cannot gate each other)
   3  missing baseline file, or a baseline series GONE from the fresh
      run — the gate has nothing sound to compare; refresh and commit
      the baseline (or pass --allow-missing-baseline for bring-up)
@@ -97,12 +99,37 @@ def check_build_type(path, doc):
         )
 
 
-def load_samples(path):
-    """name -> [gated time in ns] over the non-aggregate rows, one per
-    repetition."""
+def check_core_count(baseline_path, baseline_doc, fresh_path, fresh_doc):
+    """Refuses to gate a fresh run against a baseline recorded with a
+    different core count.
+
+    Thread-pool and closed-loop series scale with the cores, and even
+    single-threaded timings shift with the machine class, so such a
+    comparison fails unchanged code or hides a regression.  Files
+    without context.num_cpus are not refused.  Raises ValueError to
+    stop the run.
+    """
+    base = baseline_doc.get("context", {}).get("num_cpus")
+    fresh = fresh_doc.get("context", {}).get("num_cpus")
+    if base is not None and fresh is not None and base != fresh:
+        raise ValueError(
+            f"{fresh_path}: recorded on {fresh} cores but the baseline "
+            f"{baseline_path} on {base}; re-record the baseline on the "
+            "machine class that runs the gate"
+        )
+
+
+def load_doc(path):
+    """The parsed benchmark JSON, refused if it came from a debug build."""
     with open(path) as f:
         doc = json.load(f)
     check_build_type(path, doc)
+    return doc
+
+
+def samples_of(doc):
+    """name -> [gated time in ns] over the non-aggregate rows, one per
+    repetition."""
     unit_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
     samples = {}
     for row in doc.get("benchmarks", []):
@@ -126,15 +153,18 @@ def load_series(path):
     """name -> median gated time in ns over the series' repetitions."""
     return {
         name: statistics.median(times)
-        for name, times in load_samples(path).items()
+        for name, times in samples_of(load_doc(path)).items()
     }
 
 
 def compare(baseline_path, fresh_path, threshold, report):
     """Returns (regressions, gone): series over threshold and series
     present in the baseline but missing from the fresh run."""
-    baseline = load_samples(baseline_path)
-    fresh = load_samples(fresh_path)
+    baseline_doc = load_doc(baseline_path)
+    fresh_doc = load_doc(fresh_path)
+    check_core_count(baseline_path, baseline_doc, fresh_path, fresh_doc)
+    baseline = samples_of(baseline_doc)
+    fresh = samples_of(fresh_doc)
     regressions = []
     gone = []
     for name in sorted(set(baseline) | set(fresh)):
