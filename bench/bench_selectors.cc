@@ -89,8 +89,7 @@ void BM_CompiledSelector(benchmark::State& state, const char* selector) {
   Formula phi = std::move(ParseFormula(selector)).value();
   std::vector<NodeId> origins = Origins(t);
   AxisIndex index(t);
-  Result<CompiledSelector> compiled =
-      CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+  Result<CompiledSelector> compiled = CompileSelector(index, phi, "x", "y");
   if (!compiled.ok()) {
     state.SkipWithError(compiled.status().ToString().c_str());
     return;
@@ -132,8 +131,7 @@ void BM_CompiledSelectorColdStart(benchmark::State& state,
   std::size_t selected = 0;
   for (auto _ : state) {
     AxisIndex index(t);
-    Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+    Result<CompiledSelector> compiled = CompileSelector(index, phi, "x", "y");
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -170,15 +168,14 @@ BENCHMARK_CAPTURE(BM_CompiledSelectorColdStart, guarded_forall,
 
 // --- E18: the representation wall. -----------------------------------
 //
-// Dense-vs-interval cold starts over a size sweep, then the million-
-// node arms only the interval representation can reach at all (one
-// dense n=10^6 axis matrix is ~116 GiB).  Every arm runs under a
+// Interval cold starts over a size sweep, then million-node arms (one
+// dense n=10^6 axis matrix would be ~116 GiB).  Every arm runs under a
 // memory-budgeted governor and reports the governor-accounted peak as
-// `peak_mb`, so the O(n) vs O(n^2) space story is in the numbers, not
-// just the wall clock.  Cross-checks happen before timing: the sweep
-// compares the two representations against each other, the million-
-// node arms compare against direct tree navigation (the reference
-// evaluator would take hours at that size).
+// `peak_mb`, so the O(n) space story is in the numbers, not just the
+// wall clock.  Cross-checks happen before timing: the sweep compares
+// against the reference evaluator, the million-node arms against
+// direct tree navigation (the reference evaluator would take hours at
+// that size).
 
 Tree ChainInput(int n) {
   std::mt19937 rng(131);
@@ -226,27 +223,24 @@ std::vector<NodeId> GuardedForallAnswer(const Tree& t, NodeId u) {
   return out;
 }
 
-// Cold start under a fixed representation: per-iteration governor +
-// axis index + compile + the origin spread, with the interval and
-// dense answers cross-checked against each other up front.
-void BM_SelectorReprColdStart(benchmark::State& state, const char* selector,
-                              AxisRepr repr) {
+// Cold start with the memory governor on: per-iteration governor +
+// axis index + compile + the origin spread, with the answers
+// cross-checked against the reference evaluator up front.
+void BM_SelectorReprColdStart(benchmark::State& state, const char* selector) {
   Tree t = Input(static_cast<int>(state.range(0)));
   Formula phi = std::move(ParseFormula(selector)).value();
   std::vector<NodeId> origins = Origins(t);
   {
     AxisIndex index(t);
-    Result<CompiledSelector> interval =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
-    Result<CompiledSelector> dense =
-      CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
-    if (!interval.ok() || !dense.ok()) {
+    Result<CompiledSelector> compiled = CompileSelector(index, phi, "x", "y");
+    if (!compiled.ok()) {
       state.SkipWithError("cross-check compile failed");
       return;
     }
     for (NodeId origin : origins) {
-      if (interval->SelectFrom(origin) != dense->SelectFrom(origin)) {
-        state.SkipWithError("interval/dense mismatch");
+      auto reference = SelectNodes(t, phi, origin);
+      if (!reference.ok() || compiled->SelectFrom(origin) != *reference) {
+        state.SkipWithError("compiled/reference mismatch");
         return;
       }
     }
@@ -257,8 +251,7 @@ void BM_SelectorReprColdStart(benchmark::State& state, const char* selector,
     ResourceGovernor governor;
     governor.set_memory_budget(std::int64_t{4} << 30);
     AxisIndex index(t, &governor);
-    Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", repr);
+    Result<CompiledSelector> compiled = CompileSelector(index, phi, "x", "y");
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -286,7 +279,7 @@ void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
   {
     AxisIndex index(t);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi, "x", "y");
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -307,7 +300,7 @@ void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
     governor.set_memory_budget(std::int64_t{1} << 30);
     AxisIndex index(t, &governor);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi, "x", "y");
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -323,21 +316,12 @@ void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
       static_cast<double>(peak) / (1024.0 * 1024.0);
 }
 
-// The dense sweep stops at 4000: one cold start at n=16000 already
-// takes ~97 s (the compose is O(n^3/64)), and the 1000 -> 4000 step —
-// 25 ms -> 1.6 s against the interval column's 1 ms -> 5 ms — shows
-// the wall without burning CI minutes on it.
-BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_dense, kChain,
-                  AxisRepr::kDense)
-    ->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_interval, kChain,
-                  AxisRepr::kInterval)
+BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_interval, kChain)
     ->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
 // Tracks the scaling of the And/Or merges: a 4x larger tree should
 // cost about 4x, not 16x as it would if each row of E paid for the
 // whole broadcast label row.
-BENCHMARK_CAPTURE(BM_SelectorReprColdStart, example32_interval, kExample32,
-                  AxisRepr::kInterval)
+BENCHMARK_CAPTURE(BM_SelectorReprColdStart, example32_interval, kExample32)
     ->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_MillionNodeSelector, chain_tree, ChainInput, kChain,
@@ -400,12 +384,10 @@ const E19Fixture& E19Setup() {
     }
     Formula phi = std::move(ParseFormula(kChain)).value();
     AxisIndex index(t);
-    Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+    Result<CompiledSelector> compiled = CompileSelector(index, phi, "x", "y");
     if (compiled.ok()) {
       f->key.formula_hash = StableFormulaHash(phi, "x", "y");
       f->key.tree_hash = TreeContentHash(t);
-      f->key.repr = AxisRepr::kInterval;
       SelectorDiskCache cache(f->cache_dir);
       (void)cache.Store(f->key, *compiled);
     }
@@ -434,7 +416,7 @@ void BM_ColdStartParseCompile(benchmark::State& state) {
     }
     AxisIndex index(*tree, &governor);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi, "x", "y");
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -465,7 +447,7 @@ void BM_ColdStartSnapshotCache(benchmark::State& state) {
     AxisIndex snap_index(*snap);
     SelectorDiskCache cache(f.cache_dir);
     Result<CompiledSelector> fresh =
-        CompileSelector(fresh_index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(fresh_index, phi, "x", "y");
     Result<CompiledSelector> cached = cache.Load(f.key);
     if (!fresh.ok() || !cached.ok()) {
       state.SkipWithError("E19 cross-check compile/load failed");
@@ -490,8 +472,8 @@ void BM_ColdStartSnapshotCache(benchmark::State& state) {
     }
     AxisIndex index(*tree, &governor);
     SelectorDiskCache cache(f.cache_dir);
-    Result<CompiledSelector> compiled = CompileSelectorCached(
-        index, phi, "x", "y", AxisRepr::kInterval, &cache, f.key.tree_hash);
+    Result<CompiledSelector> compiled =
+        CompileSelectorCached(index, phi, "x", "y", &cache, f.key.tree_hash);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;

@@ -54,11 +54,8 @@ struct InterpMetrics {
   Counter* atp_calls;
   Counter* compiled_evals;
   Counter* reference_evals;
-  Counter* interval_evals;
-  Counter* dense_evals;
   Counter* store_updates;
   Counter* picks_reference;
-  Counter* picks_dense;
   Counter* picks_interval;
   Histogram* compiled_eval_us;
   Histogram* reference_eval_us;
@@ -90,14 +87,6 @@ struct InterpMetrics {
           "treewalk_interp_selector_evals_total",
           "Selector evaluations by evaluator path, table replays included",
           {{"path", "reference"}});
-      m->interval_evals = r.FindOrCreateCounter(
-          "treewalk_interp_selector_repr_total",
-          "Compiled selector evaluations by matrix representation",
-          {{"repr", "interval"}});
-      m->dense_evals = r.FindOrCreateCounter(
-          "treewalk_interp_selector_repr_total",
-          "Compiled selector evaluations by matrix representation",
-          {{"repr", "dense"}});
       m->store_updates = r.FindOrCreateCounter(
           "treewalk_interp_store_updates_total", "Register store writes");
       m->picks_reference = r.FindOrCreateCounter(
@@ -105,11 +94,6 @@ struct InterpMetrics {
           "Cost-based planner strategy picks, one per distinct selector "
           "per run",
           {{"strategy", "reference"}});
-      m->picks_dense = r.FindOrCreateCounter(
-          "treewalk_planner_picks_total",
-          "Cost-based planner strategy picks, one per distinct selector "
-          "per run",
-          {{"strategy", "compiled-dense"}});
       m->picks_interval = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
           "Cost-based planner strategy picks, one per distinct selector "
@@ -179,8 +163,6 @@ struct TableEntry {
   std::int64_t atp_calls = 0;
   std::int64_t store_updates = 0;
   std::int64_t compiled_evals = 0;
-  std::int64_t interval_evals = 0;
-  std::int64_t dense_evals = 0;
   /// The deepest atp() nesting inside the suffix, relative to its call.
   int depth = 0;
   StoreId final_store = kNoStore;
@@ -320,8 +302,6 @@ class Runner {
         stats_.atp_calls += e.atp_calls;
         stats_.store_updates += e.store_updates;
         stats_.compiled_selector_evals += e.compiled_evals;
-        stats_.interval_selector_evals += e.interval_evals;
-        stats_.dense_selector_evals += e.dense_evals;
         stats_.max_depth_reached =
             std::max(stats_.max_depth_reached, depth + e.depth);
         suffix_depth_ = std::max(suffix_depth_, depth + e.depth);
@@ -345,9 +325,6 @@ class Runner {
     e.store_updates = stats_.store_updates - before.store_updates;
     e.compiled_evals =
         stats_.compiled_selector_evals - before.compiled_selector_evals;
-    e.interval_evals =
-        stats_.interval_selector_evals - before.interval_selector_evals;
-    e.dense_evals = stats_.dense_selector_evals - before.dense_selector_evals;
     e.depth = suffix_depth_ - depth;
     e.final_store = out.final_store;
     e.accepted = out.accepted;
@@ -524,20 +501,13 @@ class Runner {
             options_.planner_calibration != nullptr
                 ? *options_.planner_calibration
                 : PlannerCalibration{});
-        switch (plan.strategy) {
-          case PlanStrategy::kReference: {
-            ++stats_.planner_picks_reference;
-            compiled_.emplace(canonical_id, std::nullopt);
-            ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
-            return SelectNodes(tree_, selector, origin);
-          }
-          case PlanStrategy::kCompiledDense:
-            ++stats_.planner_picks_dense;
-            break;
-          case PlanStrategy::kCompiledInterval:
-            ++stats_.planner_picks_interval;
-            break;
+        if (plan.strategy == PlanStrategy::kReference) {
+          ++stats_.planner_picks_reference;
+          compiled_.emplace(canonical_id, std::nullopt);
+          ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
+          return SelectNodes(tree_, selector, origin);
         }
+        ++stats_.planner_picks_interval;
         if (!axis_index_.has_value()) {
           axis_index_.emplace(tree_, options_.governor);
           // Construction charges the base bitsets; a trip surfaces here
@@ -550,8 +520,8 @@ class Runner {
           tree_hash_ = TreeContentHash(tree_);
         }
         Result<CompiledSelector> compiled = CompileSelectorCached(
-            *axis_index_, selector, "x", "y", plan.repr,
-            options_.selector_disk_cache, tree_hash_.value_or(0));
+            *axis_index_, selector, "x", "y", options_.selector_disk_cache,
+            tree_hash_.value_or(0));
         if (!compiled.ok() &&
             (compiled.status().code() == StatusCode::kResourceExhausted ||
              compiled.status().code() == StatusCode::kDeadlineExceeded)) {
@@ -574,11 +544,6 @@ class Runner {
       }
       if (it->second.has_value()) {
         ++stats_.compiled_selector_evals;
-        if (it->second->repr() == AxisRepr::kInterval) {
-          ++stats_.interval_selector_evals;
-        } else {
-          ++stats_.dense_selector_evals;
-        }
         ScopedLatencyUs timer(InterpMetrics::Get().compiled_eval_us);
         return it->second->SelectFrom(origin);
       }
@@ -597,10 +562,7 @@ class Runner {
     m.compiled_evals->Increment(stats_.compiled_selector_evals);
     m.reference_evals->Increment(stats_.atp_calls -
                                  stats_.compiled_selector_evals);
-    m.interval_evals->Increment(stats_.interval_selector_evals);
-    m.dense_evals->Increment(stats_.dense_selector_evals);
     m.picks_reference->Increment(stats_.planner_picks_reference);
-    m.picks_dense->Increment(stats_.planner_picks_dense);
     m.picks_interval->Increment(stats_.planner_picks_interval);
     m.store_updates->Increment(stats_.store_updates);
   }

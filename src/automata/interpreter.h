@@ -43,7 +43,7 @@ struct RunOptions {
   /// Set-at-a-time selector evaluation: the cost-based planner
   /// (src/logic/planner.h) picks, once per distinct atp() selector per
   /// run, between the reference evaluator and compiling the selector
-  /// into a dense or interval satisfier relation over a per-run axis
+  /// into an interval-encoded satisfier relation over a per-run axis
   /// index (src/logic/compile.h), answering every SelectNodes with a
   /// row read.  Selectors the partial compiler declines (three-plus-
   /// variable subformulas) fall back to the reference evaluator, so
@@ -57,7 +57,7 @@ struct RunOptions {
   const PlannerCalibration* planner_calibration = nullptr;
   /// Persistent compiled-selector cache (src/logic/selector_cache.h).
   /// When non-null, each selector compile first consults the on-disk
-  /// cache keyed by (formula, tree content hash, repr) and
+  /// cache keyed by (formula, tree content hash) and
   /// persists fresh compiles back.  Any cache failure degrades to a
   /// plain compile — semantically invisible, like compile_selectors
   /// itself.  Must outlive the run.
@@ -107,17 +107,15 @@ struct RunStats {
   /// evaluator; the other atp_calls were answered by the reference
   /// evaluator.
   std::int64_t compiled_selector_evals = 0;
-  /// compiled_selector_evals split by the matrix representation the
-  /// serving selector compiled under (the planner's pick).
-  std::int64_t interval_selector_evals = 0;
-  std::int64_t dense_selector_evals = 0;
   /// Planner strategy picks, one per distinct selector planned this run
   /// (all zero with compile_selectors off).  A reference pick means the
-  /// planner chose not to compile; compile *declines* after a dense or
-  /// interval pick still count under the pick that was made.
+  /// planner chose not to compile; compile *declines* after an interval
+  /// pick still count under the pick that was made.
   std::int64_t planner_picks_reference = 0;
-  std::int64_t planner_picks_dense = 0;
   std::int64_t planner_picks_interval = 0;
+  /// Never written (always 0): there is no dense strategy.  Kept only
+  /// because perfbench/driver.cc reads it.
+  std::int64_t planner_picks_dense = 0;
   /// Register writes (update rules and look-ahead collections).
   std::int64_t store_updates = 0;
   std::size_t max_store_tuples = 0;

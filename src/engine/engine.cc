@@ -529,10 +529,7 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
     batch.stats.subcomputations += r.run.stats.subcomputations;
     batch.stats.atp_calls += r.run.stats.atp_calls;
     batch.stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
-    batch.stats.interval_selector_evals += r.run.stats.interval_selector_evals;
-    batch.stats.dense_selector_evals += r.run.stats.dense_selector_evals;
     batch.stats.planner_picks_reference += r.run.stats.planner_picks_reference;
-    batch.stats.planner_picks_dense += r.run.stats.planner_picks_dense;
     batch.stats.planner_picks_interval += r.run.stats.planner_picks_interval;
     batch.stats.store_updates += r.run.stats.store_updates;
   }

@@ -111,14 +111,9 @@ struct EngineStats {
   std::int64_t subcomputations = 0;
   std::int64_t atp_calls = 0;
   std::int64_t compiled_selector_evals = 0;
-  /// compiled_selector_evals split by matrix representation (the
-  /// planner's pick).
-  std::int64_t interval_selector_evals = 0;
-  std::int64_t dense_selector_evals = 0;
   /// Cost-based planner strategy picks (one per distinct selector per
   /// run; all zero with compile_selectors off).
   std::int64_t planner_picks_reference = 0;
-  std::int64_t planner_picks_dense = 0;
   std::int64_t planner_picks_interval = 0;
   std::int64_t store_updates = 0;
   /// Attempts that failed with kDeadlineExceeded.

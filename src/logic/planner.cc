@@ -313,8 +313,6 @@ const char* PlanStrategyName(PlanStrategy s) {
   switch (s) {
     case PlanStrategy::kReference:
       return "reference";
-    case PlanStrategy::kCompiledDense:
-      return "compiled-dense";
     case PlanStrategy::kCompiledInterval:
       return "compiled-interval";
   }
@@ -341,7 +339,6 @@ SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
   const FormulaFeatures& feat = plan.features;
 
   const double n = static_cast<double>(stats.nodes);
-  const double words = std::max(1.0, std::ceil(n / 64.0));
   const double ops = std::max(1, feat.size);
   const double atoms = std::max(1, feat.atoms);
   const double origins =
@@ -369,28 +366,17 @@ SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
   plan.cost_reference = cal.reference_visit_cost * origins * atoms *
                         effective_y * std::pow(n, feat.quantifiers);
 
-  // --- Compiled paths: build the satisfier DAG once, then one row
-  // read per origin. ------------------------------------------------
-  const double compile_overhead = cal.compile_op_cost * ops;
-  plan.cost_dense =
-      cal.dense_word_cost * (ops * n * words + origins * words) +
-      compile_overhead;
-  // Interval rows start at one span per row for every tau axis; each
-  // disjunction can only widen rows.
+  // --- Compiled: build the satisfier DAG once, then one row read per
+  // origin.  Interval rows start at one span per row for every tau
+  // axis; each disjunction can only widen rows. ----------------------
   const double spans = 1.0 + static_cast<double>(feat.or_count);
   plan.cost_interval =
       cal.interval_span_cost * (ops * n * spans + origins * spans) +
-      compile_overhead;
+      cal.compile_op_cost * ops;
 
-  // Deterministic argmin with a fixed preference order for exact ties:
-  // reference, dense, interval.  The cheaper representation is kept
-  // even when reference wins.
-  const bool interval = plan.cost_interval < plan.cost_dense;
-  plan.repr = interval ? AxisRepr::kInterval : AxisRepr::kDense;
-  const double compiled = interval ? plan.cost_interval : plan.cost_dense;
-  if (compiled < plan.cost_reference) {
-    plan.strategy = interval ? PlanStrategy::kCompiledInterval
-                             : PlanStrategy::kCompiledDense;
+  // An exact tie goes to reference, deterministically.
+  if (plan.cost_interval < plan.cost_reference) {
+    plan.strategy = PlanStrategy::kCompiledInterval;
   }
   return plan;
 }
@@ -407,10 +393,6 @@ PlannerCalibration RecalibrateFromMeasurements(
       case PlanStrategy::kReference:
         predicted = plan.cost_reference;
         constant = &out.reference_visit_cost;
-        break;
-      case PlanStrategy::kCompiledDense:
-        predicted = plan.cost_dense;
-        constant = &out.dense_word_cost;
         break;
       case PlanStrategy::kCompiledInterval:
         predicted = plan.cost_interval;

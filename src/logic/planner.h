@@ -14,16 +14,15 @@ namespace treewalk {
 /// Cost-based strategy selection for selector evaluation
 /// (docs/PLANNER.md).
 ///
-/// The engine has three ways to answer "which nodes satisfy phi(x, y)
+/// The engine has two ways to answer "which nodes satisfy phi(x, y)
 /// from origin u":
 ///   - the reference arena evaluator (per-origin recursive search),
-///   - the compiled bitset path with dense NodeMatrix rows,
-///   - the compiled bitset path with interval-encoded rows.
-/// PlanSelector is the one place that chooses among them: cheap exact
+///   - the compiled set-at-a-time path over interval-encoded rows.
+/// PlanSelector is the one place that chooses between them: cheap exact
 /// tree statistics (TreeStats) plus structural formula features feed a
-/// per-strategy cost estimate, and the cheapest strategy wins.  Nothing
-/// else picks a strategy or a representation; callers that need a
-/// particular one price the others out with a PlannerCalibration.
+/// per-strategy cost estimate, and the cheaper strategy wins.  Nothing
+/// else picks a strategy; callers that need a particular one price the
+/// other out with a PlannerCalibration.
 ///
 /// The planner is advisory about *performance*, never about
 /// *correctness*: all strategies agree byte-for-byte (the differential
@@ -41,11 +40,10 @@ namespace treewalk {
 
 enum class PlanStrategy {
   kReference = 0,
-  kCompiledDense,
   kCompiledInterval,
 };
 
-/// "reference", "compiled-dense", "compiled-interval".
+/// "reference", "compiled-interval".
 const char* PlanStrategyName(PlanStrategy s);
 
 /// Structural features of a selector, extracted in one AST walk.
@@ -84,17 +82,13 @@ struct FormulaFeatures {
 FormulaFeatures AnalyzeFormula(const Formula& f);
 
 /// Unit costs, in arbitrary "work units" (roughly: one word of bitset
-/// algebra = 1).  The defaults are chosen so that on a span-1 axis
-/// workload the dense/interval crossover lands at n = 4096 nodes, where
-/// the dense matrix outgrows ~2MiB.  `twq explain --timing`
-/// measures real strategies and prints rescaled constants
-/// (RecalibrateFromMeasurements); nothing updates these globally.
+/// algebra = 1).  `twq explain --timing` measures both strategies and
+/// prints rescaled constants (RecalibrateFromMeasurements); nothing
+/// updates these globally.
 struct PlannerCalibration {
   /// Reference evaluator: cost of visiting one node in one atom check.
   double reference_visit_cost = 4.0;
-  /// Compiled dense: cost per 64-bit word of row algebra.
-  double dense_word_cost = 1.0;
-  /// Compiled interval: cost per span per row of range algebra.
+  /// Compiled: cost per span per row of range algebra.
   double interval_span_cost = 64.0;
   /// One-time compile overhead per op (normalization, hash-consing).
   double compile_op_cost = 32.0;
@@ -115,13 +109,12 @@ struct OperatorEstimate {
 
 struct SelectorPlan {
   PlanStrategy strategy = PlanStrategy::kReference;
-  /// The cheaper compiled representation, on every plan (reference
-  /// picks included): the one to compile when strategy is compiled.
-  AxisRepr repr = AxisRepr::kDense;
+  /// Always kInterval, the one compiled representation.  Kept only
+  /// because perfbench/driver.cc reads it.
+  AxisRepr repr = AxisRepr::kInterval;
   FormulaFeatures features;
   /// Estimated total work units per strategy.
   double cost_reference = 0.0;
-  double cost_dense = 0.0;
   double cost_interval = 0.0;
   /// Estimated satisfier pairs of the whole selector phi(x, y).
   double estimated_rows = 0.0;

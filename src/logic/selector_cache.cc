@@ -1,5 +1,6 @@
 #include "src/logic/selector_cache.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -90,7 +91,7 @@ class SelectorCacheCodec {
     std::string out;
     out.append(kEntryMagic, sizeof(kEntryMagic));
     PutU32Le(kSnapshotVersion, out);
-    PutU32Le(static_cast<std::uint32_t>(key.repr), out);
+    PutU32Le(static_cast<std::uint32_t>(AxisRepr::kInterval), out);
     PutU64Le(key.formula_hash, out);
     PutU64Le(key.tree_hash, out);
     PutU64Le(sel.n_, out);
@@ -116,12 +117,8 @@ class SelectorCacheCodec {
     if (shape == kShapeSetX || shape == kShapeSetY) {
       PutU64Le(sel.set_->num_words(), out);
       PutWords(sel.set_->words(), sel.set_->num_words(), out);
-    } else if (shape == kShapeMat && sel.mat_ != nullptr) {
-      const NodeMatrix& m = *sel.mat_;
-      PutU64Le(m.words_per_row(), out);
-      PutWords(m.Row(0), m.size() * m.words_per_row(), out);
     } else if (shape == kShapeMat) {
-      EncodeIntervalMatrix(*sel.imat_, out);
+      EncodeIntervalMatrix(*sel.mat_, out);
     }
 
     PutU32Le(Crc32c(out), out);
@@ -145,19 +142,21 @@ class SelectorCacheCodec {
       return InvalidArgument("selector cache entry has version " +
                              std::to_string(version));
     }
+    // Interval payloads are the only kind.  A sealed entry naming any
+    // other repr (2 named the retired dense carrier) was written by
+    // another build: stale, so the caller recompiles.
     const std::uint32_t repr_raw = GetU32Le(bytes, 12);
-    if (repr_raw != static_cast<std::uint32_t>(AxisRepr::kDense) &&
-        repr_raw != static_cast<std::uint32_t>(AxisRepr::kInterval)) {
-      return InvalidArgument("selector cache entry has unresolved repr");
+    if (repr_raw != static_cast<std::uint32_t>(AxisRepr::kInterval)) {
+      return FailedPrecondition("selector cache entry is stale (repr " +
+                                std::to_string(repr_raw) +
+                                " is not interval)");
     }
     SelectorCacheKey key;
     key.formula_hash = GetU64Le(bytes, 16);
     key.tree_hash = GetU64Le(bytes, 24);
-    key.repr = static_cast<AxisRepr>(repr_raw);
     if (expected != nullptr &&
         (key.formula_hash != expected->formula_hash ||
-         key.tree_hash != expected->tree_hash ||
-         key.repr != expected->repr)) {
+         key.tree_hash != expected->tree_hash)) {
       return FailedPrecondition(
           "selector cache entry is stale (key mismatch)");
     }
@@ -176,7 +175,6 @@ class SelectorCacheCodec {
         bytes.substr(kEntryHeaderBytes, bytes.size() - kEntryHeaderBytes - 4);
     CompiledSelector sel;
     sel.n_ = n;
-    sel.repr_ = key.repr;
     sel.literal_ = literal != 0;
     switch (shape) {
       case kShapeBool: {
@@ -202,20 +200,9 @@ class SelectorCacheCodec {
       }
       case kShapeMat: {
         sel.shape_ = CompiledSelector::Shape::kMat;
-        if (key.repr == AxisRepr::kDense) {
-          const std::size_t wpr = (n + 63) / 64;
-          if (payload.size() != 8 + n * wpr * 8 ||
-              GetU64Le(payload, 0) != wpr) {
-            return InvalidArgument("selector cache matrix payload corrupt");
-          }
-          NodeMatrix m(n);
-          if (n > 0) GetWords(payload, 8, m.Row(0), n * wpr);
-          sel.mat_ = std::make_shared<const NodeMatrix>(std::move(m));
-        } else {
-          TREEWALK_ASSIGN_OR_RETURN(IntervalMatrix m,
-                                    DecodeIntervalMatrix(payload, n));
-          sel.imat_ = std::make_shared<const IntervalMatrix>(std::move(m));
-        }
+        TREEWALK_ASSIGN_OR_RETURN(IntervalMatrix m,
+                                  DecodeIntervalMatrix(payload, n));
+        sel.mat_ = std::make_shared<const IntervalMatrix>(std::move(m));
         break;
       }
     }
@@ -243,8 +230,14 @@ class SelectorCacheCodec {
       // images always say 0 so equal matrices encode to equal bytes.
       PutU32Le(r.count == 0 ? 0 : r.offset, out);
       PutU32Le(r.count, out);
+      // And narrows a window past empty when the operand windows miss
+      // each other (clip_end < clip_begin).  Such a row reads as no
+      // spans, exactly like the empty window [clip_begin, clip_begin),
+      // which is what gets written: the decoder refuses inverted
+      // windows, so the raw one would make the entry unloadable.
       PutU32Le(static_cast<std::uint32_t>(r.clip_begin), out);
-      PutU32Le(static_cast<std::uint32_t>(r.clip_end), out);
+      PutU32Le(static_cast<std::uint32_t>(std::max(r.clip_begin, r.clip_end)),
+               out);
       PutU32Le(r.complemented ? 1 : 0, out);
     }
   }
@@ -263,6 +256,12 @@ class SelectorCacheCodec {
     IntervalMatrix m;
     m.n_ = n;
     m.pools_.reserve(static_cast<std::size_t>(pool_count));
+    // breaks[i][k]: order breaks (a span starting before its
+    // predecessor's end) among spans 1..k of pool i.  A row's slice is
+    // ordered iff it holds no break past its first span, an O(1) check
+    // however long the slice.
+    std::vector<std::vector<std::uint32_t>> breaks;
+    breaks.reserve(static_cast<std::size_t>(pool_count));
     const NodeId limit = static_cast<NodeId>(n);
     for (std::uint64_t i = 0; i < pool_count; ++i) {
       if (!need(8)) return err();
@@ -271,6 +270,8 @@ class SelectorCacheCodec {
       if (span_count > p.size() / 8 || !need(span_count * 8)) return err();
       auto pool = std::make_shared<std::vector<NodeSpan>>();
       pool->reserve(static_cast<std::size_t>(span_count));
+      std::vector<std::uint32_t>& pool_breaks = breaks.emplace_back();
+      pool_breaks.reserve(static_cast<std::size_t>(span_count));
       for (std::uint64_t s = 0; s < span_count; ++s) {
         NodeSpan span;
         span.begin = static_cast<NodeId>(GetU32Le(p, at));
@@ -283,6 +284,11 @@ class SelectorCacheCodec {
         if (span.begin < 0 || span.end <= span.begin || span.end > limit) {
           return err();
         }
+        const bool order_break =
+            !pool->empty() && span.begin < pool->back().end;
+        pool_breaks.push_back(
+            (pool_breaks.empty() ? 0 : pool_breaks.back()) +
+            (order_break ? 1 : 0));
         pool->push_back(span);
       }
       m.pools_.push_back(std::move(pool));
@@ -314,11 +320,10 @@ class SelectorCacheCodec {
       // The slice this row reads must be normalized (ascending, non-
       // overlapping): test() binary-searches it and RowSpans() merges
       // against the clip window assuming order.
-      const std::vector<NodeSpan>& pool = *m.pools_[r.pool];
-      for (std::uint32_t s = 1; s < r.count; ++s) {
-        if (pool[r.offset + s].begin < pool[r.offset + s - 1].end) {
-          return err();
-        }
+      const std::vector<std::uint32_t>& pool_breaks = breaks[r.pool];
+      if (r.count > 1 && pool_breaks[r.offset + r.count - 1] !=
+                             pool_breaks[r.offset]) {
+        return err();
       }
       r.complemented = comp != 0;
       m.rows_.push_back(r);
@@ -343,7 +348,7 @@ std::string SelectorDiskCache::EntryPath(const SelectorCacheKey& key) const {
   std::snprintf(name, sizeof(name), "%016llx-%016llx-%u.twsel",
                 static_cast<unsigned long long>(key.formula_hash),
                 static_cast<unsigned long long>(key.tree_hash),
-                static_cast<unsigned>(key.repr));
+                static_cast<unsigned>(AxisRepr::kInterval));
   return dir_ + "/" + name;
 }
 
@@ -363,13 +368,12 @@ Status SelectorDiskCache::Store(const SelectorCacheKey& key,
 
 Result<CompiledSelector> CompileSelectorCached(
     const AxisIndex& index, const Formula& formula, const std::string& x,
-    const std::string& y, AxisRepr repr, const SelectorDiskCache* cache,
+    const std::string& y, const SelectorDiskCache* cache,
     std::uint64_t tree_hash) {
-  if (cache == nullptr) return CompileSelector(index, formula, x, y, repr);
+  if (cache == nullptr) return CompileSelector(index, formula, x, y);
   SelectorCacheKey key;
   key.formula_hash = StableFormulaHash(formula, x, y);
   key.tree_hash = tree_hash;
-  key.repr = repr;
   Result<CompiledSelector> cached = cache->Load(key);
   if (cached.ok()) {
     CacheMetrics::Get().hits->Increment();
@@ -382,7 +386,7 @@ Result<CompiledSelector> CompileSelectorCached(
     // is a plain compile — slower, never wrong.
     CacheMetrics::Get().fallbacks->Increment();
   }
-  Result<CompiledSelector> fresh = CompileSelector(index, formula, x, y, repr);
+  Result<CompiledSelector> fresh = CompileSelector(index, formula, x, y);
   if (fresh.ok() && cache->Store(key, *fresh).ok()) {
     CacheMetrics::Get().stores->Increment();
   }

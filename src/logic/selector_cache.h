@@ -25,9 +25,11 @@ namespace treewalk {
 ///                  stable across processes;
 ///   tree_hash      TreeContentHash() of the tree compiled against;
 ///   version        kSnapshotVersion (bumping the snapshot format
-///                  invalidates cached selectors too);
-///   repr           the AxisRepr compiled under (dense and interval
-///                  payloads differ).
+///                  invalidates cached selectors too).
+///
+/// The header also carries an AxisRepr word, always kInterval; an entry
+/// naming another repr (2 was the retired dense carrier) decodes as
+/// stale.
 ///
 /// Entries are written atomically (tmp+rename), CRC-checked per
 /// section, and carry the key they were computed for; a stale, corrupt,
@@ -40,7 +42,6 @@ namespace treewalk {
 struct SelectorCacheKey {
   std::uint64_t formula_hash = 0;
   std::uint64_t tree_hash = 0;
-  AxisRepr repr = AxisRepr::kDense;
 };
 
 /// Process-stable formula-side hash of a cache key.
@@ -85,8 +86,7 @@ class SelectorDiskCache {
 };
 
 /// CompileSelector with a read-through disk cache: tries `cache` (when
-/// non-null) for the entry compiled under `repr`, and falls back to
-/// compiling — storing the fresh result best-effort.  A cache
+/// non-null) for the entry, and falls back to compiling — storing the fresh result best-effort.  A cache
 /// failure of any kind (missing, stale, corrupt, injected fault) only
 /// costs the compile it would have saved; hits, misses, stores, and
 /// fallbacks are counted in the metrics registry
@@ -95,7 +95,7 @@ class SelectorDiskCache {
 /// runs hash each tree once.
 Result<CompiledSelector> CompileSelectorCached(
     const AxisIndex& index, const Formula& formula, const std::string& x,
-    const std::string& y, AxisRepr repr, const SelectorDiskCache* cache,
+    const std::string& y, const SelectorDiskCache* cache,
     std::uint64_t tree_hash);
 
 }  // namespace treewalk

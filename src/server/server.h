@@ -126,7 +126,6 @@ struct ServerCounters {
   /// Cost-based planner strategy picks accumulated from served queries'
   /// RunStats (see src/logic/planner.h).
   std::atomic<std::int64_t> planner_picks_reference{0};
-  std::atomic<std::int64_t> planner_picks_dense{0};
   std::atomic<std::int64_t> planner_picks_interval{0};
 };
 

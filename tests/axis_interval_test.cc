@@ -4,7 +4,8 @@
 //
 //   - the pre/post-order numbering invariant desc(u, v) <=> u < v and
 //     post[v] < post[u] that every interval row is derived from;
-//   - interval axis rows versus the dense NodeMatrix oracle;
+//   - interval axis rows versus the dense NodeMatrix oracle
+//     (tests/dense_model.h);
 //   - linear span counts on adversarial shapes (chains, full trees,
 //     document-shaped trees) — the O(n) claim, not just correctness;
 //   - selector stability under label-preserving sibling reorder for
@@ -12,9 +13,8 @@
 //     old-id -> new-id permutation;
 //   - monotone shrinkage of positive-existential selectors under leaf
 //     deletion;
-//   - the million-node budget wall: interval compilation fits a linear
-//     memory budget where the dense representation trips
-//     kResourceExhausted on its first axis-matrix charge;
+//   - the million-node budget: interval compilation fits a linear
+//     memory budget, far below the n^2/8 bytes of one dense matrix;
 //   - per-thread AxisIndex isolation under concurrent compilation.
 #include <algorithm>
 #include <cstdint>
@@ -36,6 +36,7 @@
 #include "src/tree/generate.h"
 #include "src/tree/interval_matrix.h"
 #include "src/tree/tree.h"
+#include "tests/dense_model.h"
 
 namespace treewalk {
 namespace {
@@ -126,20 +127,22 @@ TEST(AxisIntervalAxes, IntervalRowsMatchDenseMatrices) {
   for (const Tree& t : trees) {
     AxisIndex index(t);
     const NodeId n = static_cast<NodeId>(t.size());
-    const std::pair<Result<const IntervalMatrix*>, const NodeMatrix*>
-        axes[] = {
-            {index.TryEdgeIntervals(), &index.EdgeMatrix()},
-            {index.TryDescendantIntervals(), &index.DescendantMatrix()},
-            {index.TrySiblingIntervals(), &index.SiblingMatrix()},
-            {index.TrySuccIntervals(), &index.SuccMatrix()},
-            {index.TryIdentityIntervals(), &index.IdentityMatrix()},
-        };
+    const std::pair<Result<const IntervalMatrix*>, NodeMatrix> axes[] = {
+        {index.TryEdgeIntervals(), DenseEdge(t)},
+        {index.TryDescendantIntervals(), DenseDescendant(t)},
+        {index.TrySiblingIntervals(), DenseSibling(t)},
+        {index.TrySuccIntervals(), DenseSucc(t)},
+        {index.TryIdentityIntervals(), DenseIdentity(t)},
+    };
     for (const auto& [intervals, dense] : axes) {
       ASSERT_TRUE(intervals.ok()) << intervals.status();
       const IntervalMatrix& im = **intervals;
-      ASSERT_EQ(im.ToDense(), *dense);
+      ASSERT_EQ(ToDense(im), dense);
       for (NodeId u = 0; u < n; ++u) {
-        ASSERT_EQ(im.RowSet(u), dense->RowSet(u)) << "row " << u;
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(im.RowSet(u).test(v), dense.test(u, v))
+              << "row " << u << " col " << v;
+        }
       }
     }
   }
@@ -167,8 +170,10 @@ TEST(AxisIntervalAxes, SpanCountsStayLinearOnAdversarialShapes) {
       // Every tau axis is span-sparse on the pre-order arena: at most
       // a couple of spans per row amortized, independent of shape.
       EXPECT_LE(im.StoredSpans(), 2 * n + 4);
-      // And the footprint beats one dense matrix outright at n=2000.
-      EXPECT_LT(im.ApproxBytes(), index.MatrixBytes());
+      // And the footprint beats one dense n-by-n bit matrix outright
+      // at n=2000.
+      EXPECT_LT(im.ApproxBytes(),
+                static_cast<std::int64_t>(n * ((n + 63) / 64) * 8));
     }
   }
 }
@@ -237,9 +242,9 @@ TEST(AxisIntervalMetamorphic, SelectorsStableUnderSiblingReorder) {
     AxisIndex reordered_index(reordered);
     for (const Formula& phi : selectors) {
       Result<CompiledSelector> before =
-          CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+          CompileSelector(index, phi, "x", "y");
       Result<CompiledSelector> after = CompileSelector(
-          reordered_index, phi, "x", "y", AxisRepr::kInterval);
+          reordered_index, phi, "x", "y");
       ASSERT_TRUE(before.ok()) << before.status();
       ASSERT_TRUE(after.ok()) << after.status();
       for (NodeId origin = 0; origin < static_cast<NodeId>(t.size());
@@ -321,9 +326,9 @@ TEST(AxisIntervalMetamorphic, PositiveSelectorsShrinkUnderLeafDeletion) {
     AxisIndex pruned_index(pruned);
     for (const Formula& phi : selectors) {
       Result<CompiledSelector> before =
-          CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+          CompileSelector(index, phi, "x", "y");
       Result<CompiledSelector> after =
-          CompileSelector(pruned_index, phi, "x", "y", AxisRepr::kInterval);
+          CompileSelector(pruned_index, phi, "x", "y");
       ASSERT_TRUE(before.ok()) << before.status();
       ASSERT_TRUE(after.ok()) << after.status();
       for (NodeId origin = 0; origin < static_cast<NodeId>(t.size());
@@ -352,23 +357,23 @@ TEST(AxisIntervalMetamorphic, PositiveSelectorsShrinkUnderLeafDeletion) {
 // The million-node budget wall (ASan-focus: this is the allocation-
 // heavy path ASan watches; the governor keeps it linear).
 
-TEST(AxisIntervalBudget, MillionNodeChainFitsLinearBudgetDenseDoesNot) {
+TEST(AxisIntervalBudget, MillionNodeChainFitsLinearBudget) {
   constexpr int kNodes = 1000000;
   constexpr std::int64_t kBudget = std::int64_t{512} << 20;  // 512 MiB
   std::mt19937 rng(7001);
   const Tree t = RandomString(rng, kNodes, 4);
   const Formula phi = Parse("exists z (E(x, z) & E(z, y))");
 
-  // Interval representation: the whole compilation — axis intervals,
-  // the guarded join, the retained selector — fits a linear budget.
+  // The whole compilation — axis intervals, the guarded join, the
+  // retained selector — fits a linear budget; one dense axis matrix
+  // would want n^2 / 8 bytes (~116 GiB).
   ResourceGovernor interval_governor;
   interval_governor.set_memory_budget(kBudget);
   AxisIndex interval_index(t, &interval_governor);
   ASSERT_TRUE(interval_index.status().ok()) << interval_index.status();
   Result<CompiledSelector> compiled =
-      CompileSelector(interval_index, phi, "x", "y", AxisRepr::kInterval);
+      CompileSelector(interval_index, phi, "x", "y");
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_EQ(compiled.value().repr(), AxisRepr::kInterval);
   // Grandchild on a chain: node u selects exactly {u + 2}.
   EXPECT_EQ(compiled.value().SelectFrom(0), std::vector<NodeId>{2});
   EXPECT_EQ(compiled.value().SelectFrom(kNodes / 2),
@@ -380,21 +385,6 @@ TEST(AxisIntervalBudget, MillionNodeChainFitsLinearBudgetDenseDoesNot) {
   EXPECT_GT(interval_governor.accountant()->peak(), 0);
   EXPECT_LE(interval_governor.accountant()->peak(), kBudget);
 
-  // Dense representation: the very first axis matrix wants
-  // n^2 / 8 bytes (~116 GiB) and trips the same budget up front, with
-  // the axis-index charge named in the breakdown.
-  ResourceGovernor dense_governor;
-  dense_governor.set_memory_budget(kBudget);
-  AxisIndex dense_index(t, &dense_governor);
-  ASSERT_TRUE(dense_index.status().ok()) << dense_index.status();
-  Result<CompiledSelector> dense =
-      CompileSelector(dense_index, phi, "x", "y", AxisRepr::kDense);
-  ASSERT_FALSE(dense.ok());
-  EXPECT_EQ(dense.status().code(), StatusCode::kResourceExhausted)
-      << dense.status();
-  EXPECT_NE(dense.status().message().find("axis-index"), std::string::npos)
-      << dense.status();
-  EXPECT_TRUE(dense_governor.accountant()->tripped());
 }
 
 // ---------------------------------------------------------------------
@@ -417,7 +407,7 @@ TEST(AxisIntervalThreads, PerThreadIndexesCompileConcurrently) {
 
   // AxisIndex is documented not thread-safe; the supported pattern is
   // one index per runner.  Each thread builds its own over the shared
-  // (read-only) tree and compiles both representations.
+  // (read-only) tree and compiles.
   constexpr int kThreads = 8;
   std::vector<int> failures(kThreads, 0);
   {
@@ -425,10 +415,7 @@ TEST(AxisIntervalThreads, PerThreadIndexesCompileConcurrently) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         AxisIndex index(t);
-        const AxisRepr repr =
-            i % 2 == 0 ? AxisRepr::kInterval : AxisRepr::kDense;
-        Result<CompiledSelector> compiled =
-            CompileSelector(index, phi, "x", "y", repr);
+        Result<CompiledSelector> compiled = CompileSelector(index, phi, "x", "y");
         if (!compiled.ok()) {
           ++failures[i];
           return;

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Pins three rules of tools/bench_gate.py: the gate compares the median
+"""Pins four rules of tools/bench_gate.py: the gate compares the median
 of a series' repetition rows, not the last row or the mean; it gates
-UseRealTime series on real_time, other series on cpu_time; and it
-refuses (exit 2) a fresh file stamped with a different core count than
-its baseline.
+UseRealTime series on real_time, other series on cpu_time; it refuses
+(exit 2) a fresh file stamped with a different core count than its
+baseline; and --planner-contract holds the auto arm to the reference
+and interval arms.
 
     tests/bench_gate_test.py tools/bench_gate.py
 
@@ -25,6 +26,13 @@ without UseRealTime stays on cpu_time.
 
 The core-count fixture (fresh_other_cores.json) matches the 1-core
 baseline's timings exactly but says num_cpus 4: the gate refuses it.
+
+The planner fixtures each serve as their own baseline, so only the
+contract can fail them.  Each has two workloads with reference,
+interval and auto arms.  planner_pass.json keeps auto within 5% of the
+best fixed arm and beats each fixed arm once: exit 0.  In
+planner_over_margin.json auto is 20% over reference on one workload:
+exit 1.  In planner_unbeaten.json auto never beats reference: exit 1.
 """
 
 import os
@@ -86,6 +94,30 @@ def main():
     expect(code == 2, f"mismatched core counts: want exit 2, got {code}", out)
     expect("recorded on 4 cores but the baseline" in out,
            "core-count refusal names both counts", out)
+
+    def run_contract(fixture):
+        return run_gate(gate, fixtures, "--planner-contract",
+                        baseline=fixture, fresh=fixture)
+
+    code, out = run_contract("planner_pass.json")
+    expect(code == 0, f"planner contract held: want exit 0, got {code}", out)
+    expect("  OK       planner cheap/8192/256: auto 105000ns vs best fixed "
+           "(reference) 100000ns (+5.0%)" in out,
+           "contract line names the best fixed arm", out)
+    expect("VIOLATE" not in out and "dense" not in out,
+           "reference and interval are the only fixed arms", out)
+
+    code, out = run_contract("planner_over_margin.json")
+    expect(code == 1, f"auto over the margin: want exit 1, got {code}", out)
+    expect("planner-contract: cheap/8192/256: auto loses 20.0% to "
+           "reference (allowed 10%)" in out,
+           "margin violation names the workload and the arm", out)
+
+    code, out = run_contract("planner_unbeaten.json")
+    expect(code == 1, f"unbeaten fixed arm: want exit 1, got {code}", out)
+    expect("auto never beats fixed strategy 'reference' on any workload"
+           in out, "unbeaten arm reported", out)
+    expect("'interval'" not in out, "the beaten arm is not reported", out)
 
     for failure in failures:
         print("FAIL:", failure)

@@ -160,10 +160,7 @@ std::string Observed(const Result<RunResult>& r) {
          " subs=" + std::to_string(s.subcomputations) +
          " atp=" + std::to_string(s.atp_calls) +
          " compiled=" + std::to_string(s.compiled_selector_evals) +
-         " interval=" + std::to_string(s.interval_selector_evals) +
-         " dense=" + std::to_string(s.dense_selector_evals) +
          " picks=" + std::to_string(s.planner_picks_reference) + "/" +
-         std::to_string(s.planner_picks_dense) + "/" +
          std::to_string(s.planner_picks_interval) +
          " updates=" + std::to_string(s.store_updates) +
          " max_tuples=" + std::to_string(s.max_store_tuples) +

@@ -101,11 +101,17 @@ TEST_F(EngineFaultTest, RetriesWithoutDegradationRepeatRungZero) {
 TEST_F(EngineFaultTest, DegradationLadderRecoversFromAxisIndexFaults) {
   Program p = SelectorProgram();
   Tree t = FullTree(2, 4);
+  // Price the reference evaluator out so rung 0 compiles (on a tree this
+  // small the planner would otherwise answer by reference and never
+  // build an axis index).
+  PlannerCalibration compile_always;
+  compile_always.reference_visit_cost = 1e12;
 
   // Reference verdict, no faults.
   BatchJob clean;
   clean.program = &p;
   clean.tree = &t;
+  clean.options.planner_calibration = &compile_always;
   BatchResult reference =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({clean})).value();
   ASSERT_TRUE(reference.results[0].status.ok());

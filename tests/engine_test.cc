@@ -184,8 +184,7 @@ TEST(SelectorDedupe, RepeatedSelectorSharesOnePickAndOneCompile) {
   RunResult r = std::move(Interpreter(p, compiled).Run(t)).value();
   EXPECT_TRUE(r.accepted);
   EXPECT_EQ(r.stats.atp_calls, 2);
-  EXPECT_EQ(r.stats.planner_picks_reference + r.stats.planner_picks_dense +
-                r.stats.planner_picks_interval,
+  EXPECT_EQ(r.stats.planner_picks_reference + r.stats.planner_picks_interval,
             1);
   EXPECT_EQ(r.stats.compiled_selector_evals, 2);
 

@@ -3,10 +3,10 @@
 
 // Shared body of the axis-interval differential fuzzer: decode any byte
 // string into a valid tree (TreeFromBytes), build the axis index, and
-// cross-check every interval-encoded axis against its dense oracle plus
-// the pre/post-order numbering invariant, the interval And/Or merges
-// against their dense twins, and one compiled selector in both
-// representations.  Driven by fuzz_axis_interval.cc under
+// cross-check every interval-encoded axis against its dense oracle
+// (tests/dense_model.h) plus the pre/post-order numbering invariant,
+// the interval And/Or merges against their dense twins, and one
+// compiled selector against direct navigation.  Driven by fuzz_axis_interval.cc under
 // libFuzzer and replayed over the seed corpus by fuzz_corpus_test.cc in
 // tier-1 builds.  Returns true iff every cross-check agrees; the tree
 // decode itself can never fail, so any false is a found bug.
@@ -22,6 +22,7 @@
 #include "src/tree/generate.h"
 #include "src/tree/interval_matrix.h"
 #include "src/tree/tree.h"
+#include "tests/dense_model.h"
 
 namespace treewalk {
 
@@ -34,19 +35,15 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
   // Every interval axis must densify to exactly its NodeMatrix oracle.
   const auto agrees = [](Result<const IntervalMatrix*> intervals,
                          const NodeMatrix& dense) {
-    return intervals.ok() && (*intervals.value()).ToDense() == dense;
+    return intervals.ok() && ToDense(*intervals.value()) == dense;
   };
-  if (!agrees(index.TryEdgeIntervals(), index.EdgeMatrix())) return false;
-  if (!agrees(index.TryDescendantIntervals(), index.DescendantMatrix())) {
-    return false;
-  }
-  if (!agrees(index.TrySiblingIntervals(), index.SiblingMatrix())) {
-    return false;
-  }
-  if (!agrees(index.TrySuccIntervals(), index.SuccMatrix())) return false;
-  if (!agrees(index.TryIdentityIntervals(), index.IdentityMatrix())) {
-    return false;
-  }
+  const NodeMatrix dense_edge = DenseEdge(t);
+  const NodeMatrix dense_desc = DenseDescendant(t);
+  if (!agrees(index.TryEdgeIntervals(), dense_edge)) return false;
+  if (!agrees(index.TryDescendantIntervals(), dense_desc)) return false;
+  if (!agrees(index.TrySiblingIntervals(), DenseSibling(t))) return false;
+  if (!agrees(index.TrySuccIntervals(), DenseSucc(t))) return false;
+  if (!agrees(index.TryIdentityIntervals(), DenseIdentity(t))) return false;
 
   // Pre/post-order numbering: desc(u, v) <=> u < v and rank[v] < rank[u].
   const std::vector<NodeId>& rank = index.PostorderRanks();
@@ -67,7 +64,7 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
   if (!desc.ok() || !edge.ok()) return false;
   const auto merge_agrees = [](Result<IntervalMatrix> merged,
                                const NodeMatrix& dense) {
-    return merged.ok() && merged->ToDense() == dense;
+    return merged.ok() && ToDense(*merged) == dense;
   };
   for (const char* label : {"a", "b", "c"}) {
     const NodeSet& labelled = index.LabelSet(label);
@@ -77,13 +74,13 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
     NodeMatrix dense_broadcast(t.size());
     for (NodeId u = 0; u < n; ++u) dense_broadcast.RowUnion(u, labelled);
 
-    NodeMatrix desc_and = index.DescendantMatrix();
+    NodeMatrix desc_and = dense_desc;
     desc_and.Intersect(dense_broadcast);
-    NodeMatrix edge_and = index.EdgeMatrix();
+    NodeMatrix edge_and = dense_edge;
     edge_and.Intersect(dense_broadcast);
     NodeMatrix edge_or_not = dense_broadcast;
     edge_or_not.Complement();
-    edge_or_not.Union(index.EdgeMatrix());
+    edge_or_not.Union(dense_edge);
     if (!merge_agrees(IntervalMatrix::And(*desc.value(), *broadcast, nullptr),
                       desc_and) ||
         !merge_agrees(IntervalMatrix::And(*edge.value(), *broadcast, nullptr),
@@ -96,15 +93,12 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  // One compiled selector through the guarded join, both
-  // representations, against direct navigation.
+  // One compiled selector through the guarded join, against direct
+  // navigation.
   Result<Formula> phi = ParseFormula("exists z (E(x, z) & E(z, y))");
   if (!phi.ok()) return false;
-  Result<CompiledSelector> interval =
-      CompileSelector(index, *phi, "x", "y", AxisRepr::kInterval);
-  Result<CompiledSelector> dense =
-      CompileSelector(index, *phi, "x", "y", AxisRepr::kDense);
-  if (!interval.ok() || !dense.ok()) return false;
+  Result<CompiledSelector> interval = CompileSelector(index, *phi, "x", "y");
+  if (!interval.ok()) return false;
   for (NodeId u = 0; u < n; ++u) {
     std::vector<NodeId> grandchildren;
     for (NodeId c = t.FirstChild(u); c != kNoNode; c = t.NextSibling(c)) {
@@ -114,7 +108,6 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
     }
     std::sort(grandchildren.begin(), grandchildren.end());
     if (interval.value().SelectFrom(u) != grandchildren) return false;
-    if (dense.value().SelectFrom(u) != grandchildren) return false;
   }
   return true;
 }

@@ -2,7 +2,7 @@
 // string decodes to a valid tree (TreeFromBytes), and on every tree the
 // interval axes must densify to their NodeMatrix oracles, the pre/post-
 // order numbering must characterize ancestry, and a compiled selector
-// must agree across representations.  A disagreement is a bug, so trap.
+// must agree with direct navigation.  A disagreement is a bug, so trap.
 
 #include <cstddef>
 #include <cstdint>

@@ -138,37 +138,36 @@ TEST(AxisIndex, TinyBudgetFailsConstructionStickily) {
   governor.set_memory_budget(16);  // smaller than one label bitset
   AxisIndex index(t, &governor);
   EXPECT_EQ(index.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(index.TryEdgeMatrix().status().code(),
+  EXPECT_EQ(index.TryEdgeIntervals().status().code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(index.TryDescendantMatrix().status().code(),
+  EXPECT_EQ(index.TryDescendantIntervals().status().code(),
             StatusCode::kResourceExhausted);
 }
 
 TEST(AxisIndex, GovernedMatrixChargesAndTripsBudget) {
-  Tree t = FullTree(2, 7);  // 255 nodes: one matrix is ~8KiB
+  Tree t = FullTree(2, 7);  // 255 nodes: one axis is ~6KiB
   ResourceGovernor governor;
   governor.set_memory_budget(64 << 10);
   AxisIndex index(t, &governor);
   ASSERT_TRUE(index.status().ok());
   std::int64_t base = governor.accountant()->used();
-  auto edge = index.TryEdgeMatrix();
+  auto edge = index.TryEdgeIntervals();
   ASSERT_TRUE(edge.ok()) << edge.status();
   EXPECT_GT(governor.accountant()->used(MemoryCategory::kAxisIndex), 0);
   EXPECT_GT(governor.accountant()->used(), base);
   // Memoized: a second request charges nothing further.
   std::int64_t after_first = governor.accountant()->used();
-  ASSERT_TRUE(index.TryEdgeMatrix().ok());
+  ASSERT_TRUE(index.TryEdgeIntervals().ok());
   EXPECT_EQ(governor.accountant()->used(), after_first);
 
-  // Exhaust the budget with the remaining matrices: eventually a Try
+  // Exhaust the budget with the remaining axes: eventually a Try
   // accessor reports kResourceExhausted while earlier ones stay valid.
   ResourceGovernor small;
-  small.set_memory_budget(
-      governor.accountant()->used() + index.MatrixBytes() / 2);
+  small.set_memory_budget(after_first + (after_first - base) / 2);
   AxisIndex tight(t, &small);
   ASSERT_TRUE(tight.status().ok());
-  ASSERT_TRUE(tight.TryEdgeMatrix().ok());
-  EXPECT_EQ(tight.TryDescendantMatrix().status().code(),
+  ASSERT_TRUE(tight.TryEdgeIntervals().ok());
+  EXPECT_EQ(tight.TryDescendantIntervals().status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_TRUE(small.accountant()->tripped());
 }

@@ -1,7 +1,7 @@
 // Slow twin for the interval set algebra (src/tree/interval_matrix.h):
 // every IntervalMatrix operation the compiled evaluator uses is checked
-// against a dense NodeMatrix computed by plain loops over the operands'
-// bits.
+// against a dense NodeMatrix (tests/dense_model.h) computed by plain
+// loops over the operands' bits.
 //
 // Operands are seeded and random, and they mix every row shape the
 // representation has:
@@ -33,6 +33,7 @@
 #include "src/tree/axis_index.h"
 #include "src/tree/interval_matrix.h"
 #include "src/tree/tree.h"
+#include "tests/dense_model.h"
 
 namespace treewalk {
 namespace {
@@ -62,13 +63,10 @@ Bits ModelRow(const NodeMatrix& model, NodeId u) {
   return bits;
 }
 
-// Overwrites row u of `model` (rows are only ever narrowed after
-// their first assignment, so clearing needs a flip).
+// Overwrites row u of `model`.
 void AssignRow(NodeMatrix& model, NodeId u, const Bits& bits) {
   for (std::size_t v = 0; v < bits.size(); ++v) {
-    if (model.test(u, static_cast<NodeId>(v)) != bits[v]) {
-      model.Row(u)[v >> 6] ^= std::uint64_t{1} << (v & 63);
-    }
+    model.set(u, static_cast<NodeId>(v), bits[v]);
   }
 }
 
@@ -330,9 +328,9 @@ void CheckCombine(const Operand& a, const Operand& b) {
     const Operand& y = *pairs[i].second;
     const IntervalMatrix conj = Value(IntervalMatrix::And(x.m, y.m, nullptr));
     const IntervalMatrix disj = Value(IntervalMatrix::Or(x.m, y.m, nullptr));
-    EXPECT_EQ(conj.ToDense(), DenseCombine(x.model, y.model, true))
+    EXPECT_EQ(ToDense(conj), DenseCombine(x.model, y.model, true))
         << "And, pair " << i;
-    EXPECT_EQ(disj.ToDense(), DenseCombine(x.model, y.model, false))
+    EXPECT_EQ(ToDense(disj), DenseCombine(x.model, y.model, false))
         << "Or, pair " << i;
     EXPECT_TRUE(Normalized(conj)) << "And, pair " << i;
     EXPECT_TRUE(Normalized(disj)) << "Or, pair " << i;
@@ -344,7 +342,7 @@ TEST(IntervalAlgebra, OperandsDensifyToTheirModels) {
   for (NodeId n : {1, 2, 7, 33, 130}) {
     for (int round = 0; round < 12; ++round) {
       Operand op = RandomOperand(rng, n, 2);
-      EXPECT_EQ(op.m.ToDense(), op.model) << "n=" << n << " round " << round;
+      EXPECT_EQ(ToDense(op.m), op.model) << "n=" << n << " round " << round;
     }
   }
 }
@@ -388,7 +386,7 @@ TEST(IntervalAlgebra, TransposedMatchesDenseLoops) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " round " << round);
       Operand a = RandomOperand(rng, n, 2);
       const IntervalMatrix t = Value(IntervalMatrix::Transposed(a.m, nullptr));
-      EXPECT_EQ(t.ToDense(), DenseTranspose(a.model));
+      EXPECT_EQ(ToDense(t), DenseTranspose(a.model));
       EXPECT_TRUE(Normalized(t));
     }
   }
@@ -406,8 +404,8 @@ TEST(IntervalAlgebra, ComposeMatchesDenseLoopsWithAndWithoutGuard) {
           Value(IntervalMatrix::Compose(p.m, q.m, nullptr, nullptr));
       const IntervalMatrix guarded =
           Value(IntervalMatrix::Compose(p.m, q.m, &guard, nullptr));
-      EXPECT_EQ(plain.ToDense(), DenseCompose(p.model, q.model, nullptr));
-      EXPECT_EQ(guarded.ToDense(), DenseCompose(p.model, q.model, &guard));
+      EXPECT_EQ(ToDense(plain), DenseCompose(p.model, q.model, nullptr));
+      EXPECT_EQ(ToDense(guarded), DenseCompose(p.model, q.model, &guard));
       EXPECT_TRUE(Normalized(plain));
       EXPECT_TRUE(Normalized(guarded));
     }
@@ -440,7 +438,7 @@ TEST(IntervalAlgebra, GovernedAndOrChargeTheRecordedBytes) {
           charged += governor.accountant()->used() - before;
           stored += m.StoredSpans();
           const NodeMatrix lhs_model = negate ? DenseNot(a.model) : a.model;
-          EXPECT_EQ(m.ToDense(), DenseCombine(lhs_model, b.model, conjunction));
+          EXPECT_EQ(ToDense(m), DenseCombine(lhs_model, b.model, conjunction));
         }
       }
     }

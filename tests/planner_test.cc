@@ -1,11 +1,10 @@
 // Tests for the cost-based query planner (src/logic/planner.h) and its
 // tree-statistics substrate (src/tree/tree_stats.h): exact statistics on
 // known trees, snapshot preloading, formula feature extraction, the
-// dense/interval cost crossover (at 4096 nodes on span-1 workloads),
-// interpreter pick counters, calibration feedback, and the headline
-// differential oracle proving that the
-// planned strategy returns exactly the same nodes as every fixed
-// strategy on >= 500 random (formula, tree) instances.
+// cost model, interpreter pick counters, calibration feedback, and the
+// headline differential oracle proving that the planned strategy
+// returns exactly the same nodes as every fixed strategy on >= 500
+// random (formula, tree) instances.
 
 #include <gtest/gtest.h>
 
@@ -189,16 +188,9 @@ TreeStats SyntheticStats(std::int64_t n) {
   return s;
 }
 
-TEST(CostModel, DenseIntervalCrossoverMatchesLegacyLimit) {
-  // With default calibration, a span-1 workload's dense/interval cost
-  // ratio is n / 4096: the crossover lands where the dense matrix
-  // outgrows ~2MiB.
-  Formula f = Parse("desc(x, y)");
-  SelectorPlan small = PlanSelector(SyntheticStats(2048), f);
-  EXPECT_LT(small.cost_dense, small.cost_interval);
-  SelectorPlan large = PlanSelector(SyntheticStats(32768), f);
-  EXPECT_GT(large.cost_dense, large.cost_interval);
-  // Disjunctions widen interval rows and move the crossover up.
+TEST(CostModel, DisjunctionsWidenIntervalRows) {
+  SelectorPlan large =
+      PlanSelector(SyntheticStats(32768), Parse("desc(x, y)"));
   SelectorPlan with_or =
       PlanSelector(SyntheticStats(32768), Parse("desc(x, y) | sib(x, y)"));
   EXPECT_GT(with_or.cost_interval / large.cost_interval, 1.5);
@@ -206,18 +198,14 @@ TEST(CostModel, DenseIntervalCrossoverMatchesLegacyLimit) {
 
 TEST(CostModel, ReferenceWinsForSingleOriginCheapSelector) {
   // One origin, one guarded atom: the reference evaluator enumerates a
-  // handful of children, while any compiled path must first build the
+  // handful of children, while the compiled path must first build the
   // full satisfier relation.  The planner must not compile.
   PlanOptions opts;
   opts.expected_origins = 1;
   SelectorPlan plan =
       PlanSelector(SyntheticStats(100000), Parse("E(x, y)"), {}, opts);
   EXPECT_EQ(plan.strategy, PlanStrategy::kReference);
-  EXPECT_LT(plan.cost_reference, plan.cost_dense);
   EXPECT_LT(plan.cost_reference, plan.cost_interval);
-  // A reference pick still names the cheaper compiled representation.
-  EXPECT_LT(plan.cost_interval, plan.cost_dense);
-  EXPECT_EQ(plan.repr, AxisRepr::kInterval);
 }
 
 TEST(CostModel, AtomEstimatesAreExactAndOrdered) {
@@ -258,7 +246,7 @@ TEST(Recalibrate, GeometricHalfStepTowardMeasurement) {
   EXPECT_NEAR(tuned.reference_visit_cost, 2.0 * base.reference_visit_cost,
               1e-9);
   // Unmeasured strategies keep their constants; bad samples are ignored.
-  EXPECT_EQ(tuned.dense_word_cost, base.dense_word_cost);
+  EXPECT_EQ(tuned.interval_span_cost, base.interval_span_cost);
   measured[0].nanos = 0.0;
   EXPECT_EQ(RecalibrateFromMeasurements(base, plan, measured), base);
 }
@@ -268,11 +256,11 @@ TEST(Recalibrate, GeometricHalfStepTowardMeasurement) {
 /// Per-strategy counts of the picks PlanSelector makes for each
 /// distinct atp() selector of `program` on delim(`input`), the tree a
 /// run plans against.
-std::array<std::int64_t, 3> ExpectedPicks(const Program& program,
+std::array<std::int64_t, 2> ExpectedPicks(const Program& program,
                                           const Tree& input,
                                           const PlannerCalibration& cal) {
   const TreeStats stats = ComputeTreeStats(Delimit(input).tree);
-  std::array<std::int64_t, 3> picks{};
+  std::array<std::int64_t, 2> picks{};
   std::set<std::string> seen;
   for (const Rule& rule : program.rules()) {
     if (rule.action.kind != Action::Kind::kLookAhead) continue;
@@ -286,9 +274,7 @@ std::array<std::int64_t, 3> ExpectedPicks(const Program& program,
 TEST(PlannerPicks, CountersMatchPlanSelectorAndPricingKeepsTheRun) {
   auto program = Example32Program("a");
   ASSERT_TRUE(program.ok());
-  PlannerCalibration no_dense;
-  no_dense.dense_word_cost = 1e18;
-  PlannerCalibration no_compile = no_dense;
+  PlannerCalibration no_compile;
   no_compile.interval_span_cost = 1e18;
 
   std::mt19937 rng(99);
@@ -313,17 +299,16 @@ TEST(PlannerPicks, CountersMatchPlanSelectorAndPricingKeepsTheRun) {
     EXPECT_GT(planned->stats.compiled_selector_evals, 0) << "n=" << n;
 
     for (const PlannerCalibration& cal :
-         {PlannerCalibration{}, no_dense, no_compile}) {
+         {PlannerCalibration{}, no_compile}) {
       RunOptions opts = planned_opts;
       opts.planner_calibration = &cal;
       auto run = Interpreter(*program, opts).Run(t);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       const RunStats& st = run->stats;
-      const std::array<std::int64_t, 3> expected =
+      const std::array<std::int64_t, 2> expected =
           ExpectedPicks(*program, t, cal);
       EXPECT_EQ(st.planner_picks_reference, expected[0]) << "n=" << n;
-      EXPECT_EQ(st.planner_picks_dense, expected[1]) << "n=" << n;
-      EXPECT_EQ(st.planner_picks_interval, expected[2]) << "n=" << n;
+      EXPECT_EQ(st.planner_picks_interval, expected[1]) << "n=" << n;
     }
 
     // Pricing compilation out sends every selector to the reference
@@ -416,14 +401,13 @@ class SelectorGen {
 };
 
 /// Evaluates `formula` from `origin` the way the interpreter would
-/// execute `plan`: reference directly, compiled via the planned repr
-/// with the runtime decline->reference fallback.
+/// execute `plan`: reference directly, compiled with the runtime
+/// decline->reference fallback.
 std::vector<NodeId> ExecutePlan(const Tree& tree, const AxisIndex& index,
                                 const Formula& formula,
                                 const SelectorPlan& plan, NodeId origin) {
-  if (plan.strategy == PlanStrategy::kCompiledDense ||
-      plan.strategy == PlanStrategy::kCompiledInterval) {
-    auto compiled = CompileSelector(index, formula, "x", "y", plan.repr);
+  if (plan.strategy == PlanStrategy::kCompiledInterval) {
+    auto compiled = CompileSelector(index, formula, "x", "y");
     if (compiled.ok()) return compiled->SelectFrom(origin);
   }
   auto reference = SelectNodes(tree, formula, origin);
@@ -454,10 +438,7 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
       ++compiled_picks;
     }
 
-    auto dense = CompileSelector(index, formula, "x", "y", AxisRepr::kDense);
-    auto interval =
-        CompileSelector(index, formula, "x", "y", AxisRepr::kInterval);
-    ASSERT_EQ(dense.ok(), interval.ok()) << formula.ToString();
+    auto interval = CompileSelector(index, formula, "x", "y");
 
     for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
          ++origin) {
@@ -467,8 +448,7 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
           << "planned " << PlanStrategyName(plan.strategy) << " for "
           << formula.ToString() << " on " << PrintTerm(tree) << " at origin "
           << origin;
-      if (dense.ok()) {
-        ASSERT_EQ(dense->SelectFrom(origin), *reference) << formula.ToString();
+      if (interval.ok()) {
         ASSERT_EQ(interval->SelectFrom(origin), *reference)
             << formula.ToString();
       }

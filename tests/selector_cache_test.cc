@@ -133,8 +133,7 @@ class SelectorGen {
 // tree, store to disk; (2) reload the tree from its snapshot image and
 // the selector from the cache (a real hit, asserted via metrics); (3)
 // at every origin, fresh == cached-on-mapped-tree == the reference
-// node-at-a-time evaluator.  >1000 compiled instances, both dense and
-// interval representations.
+// node-at-a-time evaluator.  >1000 compiled instances.
 TEST(SelectorCacheOracle, MappedTreePlusCachedSelectorMatchesReference) {
   const std::string dir = TempCacheDir("oracle");
   SelectorDiskCache cache(dir);
@@ -153,18 +152,15 @@ TEST(SelectorCacheOracle, MappedTreePlusCachedSelectorMatchesReference) {
     options.num_nodes = 1 + static_cast<int>(rng() % 14);
     Tree tree = RandomTree(rng, options);
     Formula formula = gen.Gen(1 + static_cast<int>(rng() % 3), {"x", "y"});
-    const AxisRepr repr =
-        rng() % 2 ? AxisRepr::kDense : AxisRepr::kInterval;
 
     AxisIndex index(tree);
-    auto fresh = CompileSelector(index, formula, "x", "y", repr);
+    auto fresh = CompileSelector(index, formula, "x", "y");
     if (!fresh.ok()) continue;  // outside the compilable fragment
     ++instances;
 
     SelectorCacheKey key;
     key.formula_hash = StableFormulaHash(formula, "x", "y");
     key.tree_hash = TreeContentHash(tree);
-    key.repr = repr;
     ASSERT_TRUE(cache.Store(key, *fresh).ok());
 
     auto mapped = TreeFromSnapshotImage(
@@ -172,9 +168,8 @@ TEST(SelectorCacheOracle, MappedTreePlusCachedSelectorMatchesReference) {
     ASSERT_TRUE(mapped.ok());
     AxisIndex mapped_index(*mapped);
     auto cached = CompileSelectorCached(mapped_index, formula, "x", "y",
-                                        repr, &cache, key.tree_hash);
+                                        &cache, key.tree_hash);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    EXPECT_EQ(cached->repr(), fresh->repr());
     EXPECT_EQ(cached->RetainedBytes(), fresh->RetainedBytes())
         << formula.ToString();
 
@@ -204,22 +199,37 @@ TEST(SelectorCacheRoundTrip, EncodeDecodeIsExact) {
     tree = RandomTree(rng, options);
   }
   AxisIndex index(tree);
-  for (AxisRepr repr : {AxisRepr::kDense, AxisRepr::kInterval}) {
-    auto fresh = CompileSelector(
-        index, Parse("exists z (E(x, z) & E(z, y))"), "x", "y", repr);
-    ASSERT_TRUE(fresh.ok());
-    SelectorCacheKey key{1, 2, repr};
-    const std::string image = EncodeSelectorCacheEntry(key, *fresh);
-    auto decoded = DecodeSelectorCacheEntry(image, &key);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->tree_size(), fresh->tree_size());
-    EXPECT_EQ(decoded->repr(), fresh->repr());
-    EXPECT_EQ(decoded->RetainedBytes(), fresh->RetainedBytes());
-    for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); u += 17) {
-      EXPECT_EQ(decoded->SelectFrom(u), fresh->SelectFrom(u));
-    }
-    // Deterministic bytes: same selector, same entry image.
-    EXPECT_EQ(EncodeSelectorCacheEntry(key, *fresh), image);
+  auto fresh = CompileSelector(
+      index, Parse("exists z (E(x, z) & E(z, y))"), "x", "y");
+  ASSERT_TRUE(fresh.ok());
+  SelectorCacheKey key{1, 2};
+  const std::string image = EncodeSelectorCacheEntry(key, *fresh);
+  auto decoded = DecodeSelectorCacheEntry(image, &key);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->tree_size(), fresh->tree_size());
+  EXPECT_EQ(decoded->RetainedBytes(), fresh->RetainedBytes());
+  for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); u += 17) {
+    EXPECT_EQ(decoded->SelectFrom(u), fresh->SelectFrom(u));
+  }
+  // Deterministic bytes: same selector, same entry image.
+  EXPECT_EQ(EncodeSelectorCacheEntry(key, *fresh), image);
+}
+
+TEST(SelectorCacheRoundTrip, RowsNarrowedPastEmptyStillLoad) {
+  // Each row of the And narrows a later-siblings window [u + 1, ...)
+  // by the root's span [0, 1), which it misses: the window inverts.
+  Tree tree = FullTree(3, 3);
+  AxisIndex index(tree);
+  auto fresh =
+      CompileSelector(index, Parse("sib(x, y) & root(y)"), "x", "y");
+  ASSERT_TRUE(fresh.ok());
+  SelectorCacheKey key{11, 12};
+  auto decoded =
+      DecodeSelectorCacheEntry(EncodeSelectorCacheEntry(key, *fresh), &key);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); ++u) {
+    EXPECT_EQ(decoded->SelectFrom(u), std::vector<NodeId>{});
+    EXPECT_EQ(fresh->SelectFrom(u), std::vector<NodeId>{});
   }
 }
 
@@ -232,10 +242,9 @@ TEST(SelectorCacheValidation, TruncationAndBitFlipsNeverDecodeWrong) {
     tree = RandomTree(rng, options);
   }
   AxisIndex index(tree);
-  auto fresh = CompileSelector(index, Parse("desc(x, y)"), "x", "y",
-                               AxisRepr::kInterval);
+  auto fresh = CompileSelector(index, Parse("desc(x, y)"), "x", "y");
   ASSERT_TRUE(fresh.ok());
-  SelectorCacheKey key{3, 4, AxisRepr::kInterval};
+  SelectorCacheKey key{3, 4};
   const std::string image = EncodeSelectorCacheEntry(key, *fresh);
 
   for (std::size_t len = 0; len < image.size(); ++len) {
@@ -257,19 +266,19 @@ TEST(SelectorCacheValidation, TruncationAndBitFlipsNeverDecodeWrong) {
 }
 
 TEST(SelectorCacheValidation, ReprOutsideDenseAndIntervalIsRejected) {
-  // Entries persist AxisRepr's raw value (kInterval = 1, kDense = 2).
-  // A correctly sealed entry naming any other value never decodes.
+  // Entries persist AxisRepr's raw value: kInterval = 1.  A correctly
+  // sealed entry naming any other value never decodes — 2, the retired
+  // dense carrier, included: such an entry is stale.
   std::mt19937 rng(13);
   Tree tree = RandomTree(rng, RandomTreeOptions{});
   AxisIndex index(tree);
-  auto fresh = CompileSelector(index, Parse("desc(x, y)"), "x", "y",
-                               AxisRepr::kDense);
+  auto fresh = CompileSelector(index, Parse("desc(x, y)"), "x", "y");
   ASSERT_TRUE(fresh.ok());
-  SelectorCacheKey key{5, 6, AxisRepr::kDense};
+  SelectorCacheKey key{5, 6};
   const std::string image = EncodeSelectorCacheEntry(key, *fresh);
-  ASSERT_EQ(static_cast<unsigned char>(image[12]), 2u);  // repr, LE u32
+  ASSERT_EQ(static_cast<unsigned char>(image[12]), 1u);  // repr, LE u32
   ASSERT_TRUE(DecodeSelectorCacheEntry(image, nullptr).ok());
-  for (char raw : {'\0', '\3'}) {
+  for (char raw : {'\0', '\2', '\3'}) {
     std::string resealed = image.substr(0, image.size() - 4);
     resealed[12] = raw;
     const std::uint32_t crc = Crc32c(resealed);
@@ -281,6 +290,101 @@ TEST(SelectorCacheValidation, ReprOutsideDenseAndIntervalIsRejected) {
     EXPECT_NE(decoded.status().message().find("repr"), std::string::npos)
         << decoded.status().ToString();
   }
+}
+
+// --- Interval payload order checks. ----------------------------------
+//
+// A pool is an arena of row slices, so only each row's slice must be
+// ordered; the decoder checks that with one prefix count of order
+// breaks per pool instead of re-scanning every slice.
+
+struct RowSlice {
+  std::uint32_t pool = 0;
+  std::uint32_t offset = 0;
+  std::uint32_t count = 0;
+};
+
+/// A sealed Mat entry over `n` nodes with a hand-built interval payload:
+/// `pools`, then one unclipped, uncomplemented descriptor per row.  The
+/// header comes from a real encoded Mat entry with its node count
+/// rewritten, so only the payload is made up here.
+std::string HandBuiltIntervalEntry(std::size_t n,
+                                   const std::vector<std::vector<NodeSpan>>&
+                                       pools,
+                                   const std::vector<RowSlice>& rows) {
+  Tree tree = FullTree(2, 2);
+  AxisIndex index(tree);
+  auto desc = CompileSelector(index, Parse("desc(x, y)"), "x", "y");
+  EXPECT_TRUE(desc.ok());
+  const std::string real = EncodeSelectorCacheEntry({9, 10}, *desc);
+  std::string out = real.substr(0, 44);  // header: magic .. shape, pad
+  std::string node_count;
+  PutU64Le(n, node_count);
+  out.replace(32, 8, node_count);
+  PutU64Le(pools.size(), out);
+  for (const std::vector<NodeSpan>& pool : pools) {
+    PutU64Le(pool.size(), out);
+    for (const NodeSpan& span : pool) {
+      PutU32Le(static_cast<std::uint32_t>(span.begin), out);
+      PutU32Le(static_cast<std::uint32_t>(span.end), out);
+    }
+  }
+  PutU64Le(n, out);
+  for (std::size_t u = 0; u < n; ++u) {
+    const RowSlice r = u < rows.size() ? rows[u] : RowSlice{};
+    PutU32Le(r.pool, out);
+    PutU32Le(r.offset, out);
+    PutU32Le(r.count, out);
+    PutU32Le(0, out);                               // clip_begin
+    PutU32Le(static_cast<std::uint32_t>(n), out);  // clip_end
+    PutU32Le(0, out);                               // not complemented
+  }
+  PutU32Le(Crc32c(out), out);
+  return out;
+}
+
+TEST(SelectorCacheValidation, PoolOutOfOrderOnlyBetweenSlicesLoads) {
+  // Span 1 starts before span 0 ends, but no row's slice holds both.
+  const std::vector<std::vector<NodeSpan>> pools = {
+      {{1, 3}, {0, 1}, {2, 4}}};
+  const std::string image = HandBuiltIntervalEntry(
+      4, pools, {{0, 0, 1}, {0, 1, 2}, {0, 2, 1}, {0, 0, 0}});
+  auto decoded = DecodeSelectorCacheEntry(image, nullptr);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->SelectFrom(0), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(decoded->SelectFrom(1), (std::vector<NodeId>{0, 2, 3}));
+  EXPECT_EQ(decoded->SelectFrom(2), (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(decoded->SelectFrom(3), std::vector<NodeId>{});
+}
+
+TEST(SelectorCacheValidation, BreakDeepInsideLongSliceIsRefused) {
+  constexpr std::size_t kNodes = 1000;
+  std::vector<NodeSpan> ordered;
+  for (NodeId i = 0; i < 500; ++i) ordered.push_back({2 * i, 2 * i + 1});
+  std::vector<NodeSpan> broken = ordered;
+  broken[400] = {797, 798};  // starts before span 399 = [798, 799) ends
+
+  // Positive control: the same long slice, in order, loads.
+  ASSERT_TRUE(DecodeSelectorCacheEntry(
+                  HandBuiltIntervalEntry(kNodes, {ordered}, {{0, 0, 500}}),
+                  nullptr)
+                  .ok());
+  auto refused = DecodeSelectorCacheEntry(
+      HandBuiltIntervalEntry(kNodes, {broken}, {{0, 0, 500}}), nullptr);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  // The break belongs to a slice only when its predecessor does too:
+  // slices ending at span 399 or starting at span 400 still load.
+  EXPECT_TRUE(DecodeSelectorCacheEntry(
+                  HandBuiltIntervalEntry(kNodes, {broken},
+                                         {{0, 0, 400}, {0, 400, 100}}),
+                  nullptr)
+                  .ok());
+  EXPECT_FALSE(DecodeSelectorCacheEntry(
+                   HandBuiltIntervalEntry(kNodes, {broken},
+                                          {{0, 0, 400}, {0, 399, 2}}),
+                   nullptr)
+                   .ok());
 }
 
 TEST(SelectorCacheStale, MismatchedKeyIsRejectedAndFallsBack) {
@@ -295,13 +399,12 @@ TEST(SelectorCacheStale, MismatchedKeyIsRejectedAndFallsBack) {
   }
   AxisIndex index(tree);
   Formula phi = Parse("E(x, y)");
-  auto fresh = CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+  auto fresh = CompileSelector(index, phi, "x", "y");
   ASSERT_TRUE(fresh.ok());
 
   SelectorCacheKey key;
   key.formula_hash = StableFormulaHash(phi, "x", "y");
   key.tree_hash = TreeContentHash(tree);
-  key.repr = AxisRepr::kDense;
   ASSERT_TRUE(cache.Store(key, *fresh).ok());
 
   // Simulate a stale entry: the tree changed, the file did not.  The
@@ -325,9 +428,8 @@ TEST(SelectorCacheStale, MismatchedKeyIsRejectedAndFallsBack) {
   // CompileSelectorCached degrades to a fresh compile and counts it.
   const std::int64_t fallbacks_before =
       CounterValue("treewalk_selector_cache_fallbacks_total");
-  auto compiled = CompileSelectorCached(index, phi, "x", "y",
-                                        AxisRepr::kDense, &cache,
-                                        new_key.tree_hash);
+  auto compiled =
+      CompileSelectorCached(index, phi, "x", "y", &cache, new_key.tree_hash);
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(compiled->SelectFrom(0), fresh->SelectFrom(0));
   EXPECT_EQ(CounterValue("treewalk_selector_cache_fallbacks_total"),
@@ -346,7 +448,7 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   }
   AxisIndex index(tree);
   Formula phi = Parse("desc(x, y)");
-  auto fresh = CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+  auto fresh = CompileSelector(index, phi, "x", "y");
   ASSERT_TRUE(fresh.ok());
   const std::uint64_t tree_hash = TreeContentHash(tree);
 
@@ -355,14 +457,14 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   fault.code = StatusCode::kInternal;
   fault.message = "injected";
   FailpointRegistry::Global().Enable("selector_cache/store", fault);
-  auto first = CompileSelectorCached(index, phi, "x", "y",
-                                     AxisRepr::kDense, &cache, tree_hash);
+  auto first =
+      CompileSelectorCached(index, phi, "x", "y", &cache, tree_hash);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->SelectFrom(0), fresh->SelectFrom(0));
 
   // Second call stores for real; third hits.
-  auto second = CompileSelectorCached(index, phi, "x", "y",
-                                      AxisRepr::kDense, &cache, tree_hash);
+  auto second =
+      CompileSelectorCached(index, phi, "x", "y", &cache, tree_hash);
   ASSERT_TRUE(second.ok());
 
   // Load fault counts as a fallback, not a crash, and the answer is
@@ -370,8 +472,8 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   FailpointRegistry::Global().Enable("selector_cache/load", fault);
   const std::int64_t fallbacks_before =
       CounterValue("treewalk_selector_cache_fallbacks_total");
-  auto third = CompileSelectorCached(index, phi, "x", "y",
-                                     AxisRepr::kDense, &cache, tree_hash);
+  auto third =
+      CompileSelectorCached(index, phi, "x", "y", &cache, tree_hash);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->SelectFrom(0), fresh->SelectFrom(0));
   EXPECT_EQ(CounterValue("treewalk_selector_cache_fallbacks_total"),
@@ -381,8 +483,8 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   // With faults gone the entry from `second` serves a real hit.
   const std::int64_t hits_before =
       CounterValue("treewalk_selector_cache_hits_total");
-  auto fourth = CompileSelectorCached(index, phi, "x", "y",
-                                      AxisRepr::kDense, &cache, tree_hash);
+  auto fourth =
+      CompileSelectorCached(index, phi, "x", "y", &cache, tree_hash);
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ(CounterValue("treewalk_selector_cache_hits_total"),
             hits_before + 1);

@@ -12,12 +12,14 @@
 //       Show what the cost-based planner (docs/PLANNER.md) would do for
 //       each selector: tree statistics, formula features, per-strategy
 //       cost estimates, the chosen plan, and per-operator cardinality
-//       estimates.  --evals executes the chosen plan from --origin
+//       estimates.  A --program's selectors are planned on delim(t),
+//       where the interpreter runs them (--origin still names a node
+//       of t).  --evals executes the chosen plan from --origin
 //       (default: the root) and prints measured vs estimated rows.
-//       --timing times every candidate strategy answering every node
-//       as an origin and prints rescaled calibration constants (the
-//       times are nondeterministic; everything else explain prints is
-//       byte-stable for golden tests).
+//       --timing times both strategies answering every node as an
+//       origin and prints rescaled calibration constants (the times are
+//       nondeterministic; everything else explain prints is byte-stable
+//       for golden tests).
 //   twq cat <expression> <tree.{term,xml}>
 //       Evaluate a caterpillar expression from the root.
 //   twq batch <manifest> [--jobs N] [--max-steps M] [--quiet]
@@ -92,7 +94,7 @@
 //                           and persists, later uses mmap in with zero
 //                           parsing.  Corrupt/stale entries re-parse.
 //   --compile-cache <dir>   Persist compiled selector relations keyed
-//                           by (formula, tree, representation); later
+//                           by (formula, tree); later
 //                           runs skip selector compilation entirely.
 //
 // Global options (any subcommand, docs/OBSERVABILITY.md):
@@ -151,6 +153,7 @@
 #include "src/server/server.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
+#include "src/tree/delimited.h"
 #include "src/tree/tree_stats.h"
 #include "src/simulation/config_graph.h"
 #include "src/tree/snapshot.h"
@@ -371,6 +374,12 @@ int CmdExplain(int argc, char** argv) {
     return Fail("--origin " + std::to_string(origin_arg) +
                 " is not a node of the tree");
   }
+  if (!program_path.empty()) {
+    // The interpreter plans and runs atp() selectors on delim(t).
+    tw::DelimitedTree delimited = tw::Delimit(*tree);
+    origin = delimited.to_delimited[static_cast<std::size_t>(origin)];
+    *tree = std::move(delimited.tree);
+  }
 
   struct Item {
     std::string title;
@@ -436,9 +445,8 @@ int CmdExplain(int argc, char** argv) {
         "negation-depth=%d guard=%s\n",
         f.size, f.atoms, f.quantifiers, f.width, f.negation_depth,
         f.has_range_guard ? "yes" : "no");
-    std::printf("  cost: reference=%.4g compiled-dense=%.4g "
-                "compiled-interval=%.4g\n",
-                plan.cost_reference, plan.cost_dense, plan.cost_interval);
+    std::printf("  cost: reference=%.4g compiled-interval=%.4g\n",
+                plan.cost_reference, plan.cost_interval);
     std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
     std::printf("  operators:\n");
     for (const tw::OperatorEstimate& op : plan.operators) {
@@ -448,7 +456,7 @@ int CmdExplain(int argc, char** argv) {
     }
 
     // Answers every origin in `origins` with one strategy; the compiled
-    // strategies compile once and read one row per origin.  Compiled
+    // strategy compiles once and reads one row per origin.  Compiled
     // declines surface as a non-OK status and are reported, not fatal.
     using Answers = std::vector<std::vector<tw::NodeId>>;
     auto run_strategy = [&](tw::PlanStrategy s,
@@ -463,14 +471,10 @@ int CmdExplain(int argc, char** argv) {
             answers.push_back(std::move(one).value());
           }
           return answers;
-        case tw::PlanStrategy::kCompiledDense:
         case tw::PlanStrategy::kCompiledInterval: {
           tw::AxisIndex index(*tree, nullptr);
           if (!index.status().ok()) return index.status();
-          auto compiled = tw::CompileSelector(
-              index, item.formula, "x", "y",
-              s == tw::PlanStrategy::kCompiledDense ? tw::AxisRepr::kDense
-                                                    : tw::AxisRepr::kInterval);
+          auto compiled = tw::CompileSelector(index, item.formula, "x", "y");
           if (!compiled.ok()) return compiled.status();
           for (tw::NodeId u : origins) {
             answers.push_back(compiled->SelectFrom(u));
@@ -521,9 +525,8 @@ int CmdExplain(int argc, char** argv) {
           tw::PlanSelector(*stats, item.formula, cal, timed_opts);
       std::vector<tw::StrategyMeasurement> measured;
       std::printf("  timing: origins=%zu", all_nodes.size());
-      for (tw::PlanStrategy s :
-           {tw::PlanStrategy::kReference, tw::PlanStrategy::kCompiledDense,
-            tw::PlanStrategy::kCompiledInterval}) {
+      for (tw::PlanStrategy s : {tw::PlanStrategy::kReference,
+                                 tw::PlanStrategy::kCompiledInterval}) {
         const auto start = std::chrono::steady_clock::now();
         auto result = run_strategy(s, all_nodes);
         const auto end = std::chrono::steady_clock::now();
@@ -541,10 +544,9 @@ int CmdExplain(int argc, char** argv) {
       const tw::PlannerCalibration tuned =
           tw::RecalibrateFromMeasurements(cal, timed_plan, measured);
       std::printf(
-          "  recalibrated: reference_visit_cost=%.4g dense_word_cost=%.4g "
+          "  recalibrated: reference_visit_cost=%.4g "
           "interval_span_cost=%.4g\n",
-          tuned.reference_visit_cost, tuned.dense_word_cost,
-          tuned.interval_span_cost);
+          tuned.reference_visit_cost, tuned.interval_span_cost);
     }
   }
   return 0;
@@ -855,21 +857,15 @@ int CmdBatch(int argc, char** argv) {
                   ? (", " + std::to_string(skipped) + " skipped (journaled)")
                         .c_str()
                   : "");
-  std::printf("steps=%lld atp_calls=%lld "
-              "compiled_evals=%lld (interval=%lld dense=%lld) "
+  std::printf("steps=%lld atp_calls=%lld compiled_evals=%lld "
               "store_updates=%lld\n",
               static_cast<long long>(s.steps),
               static_cast<long long>(s.atp_calls),
               static_cast<long long>(s.compiled_selector_evals),
-              static_cast<long long>(s.interval_selector_evals),
-              static_cast<long long>(s.dense_selector_evals),
               static_cast<long long>(s.store_updates));
-  if (s.planner_picks_reference + s.planner_picks_dense +
-          s.planner_picks_interval >
-      0) {
-    std::printf("planner_picks: reference=%lld dense=%lld interval=%lld\n",
+  if (s.planner_picks_reference + s.planner_picks_interval > 0) {
+    std::printf("planner_picks: reference=%lld interval=%lld\n",
                 static_cast<long long>(s.planner_picks_reference),
-                static_cast<long long>(s.planner_picks_dense),
                 static_cast<long long>(s.planner_picks_interval));
   }
   if (snapshot_cache.has_value()) {
