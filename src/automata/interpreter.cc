@@ -6,10 +6,8 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
-#include "src/automata/step.h"
 #include "src/common/failpoint.h"
 #include "src/common/governor.h"
 #include "src/common/metrics.h"
@@ -18,7 +16,6 @@
 #include "src/logic/selector_cache.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/snapshot.h"
-#include "src/relstore/store_eval.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/tree_stats.h"
 
@@ -74,9 +71,10 @@ struct InterpMetrics {
           "treewalk_interp_tabled_steps_total",
           "Transitions replayed from the table of finished subcomputations "
           "(counted in treewalk_interp_steps_total too)");
-      m->subcomputations =
-          r.FindOrCreateCounter("treewalk_interp_subcomputations_total",
-                                "atp() subcomputations spawned");
+      m->subcomputations = r.FindOrCreateCounter(
+          "treewalk_interp_subcomputations_total",
+          "atp() subcomputations started, one per selected node, table "
+          "replays included");
       m->atp_calls = r.FindOrCreateCounter("treewalk_interp_atp_calls_total",
                                            "atp() rule firings");
       m->compiled_evals = r.FindOrCreateCounter(
@@ -113,7 +111,6 @@ struct InterpMetrics {
   }
 };
 
-using StateId = std::uint32_t;
 using StoreId = std::uint32_t;
 constexpr StoreId kNoStore = ~StoreId{0};
 
@@ -136,6 +133,71 @@ struct ConfigKeyHash {
     h *= 0xbf58476d1ce4e5b9ULL;
     return static_cast<std::size_t>(h ^ (h >> 32));
   }
+};
+
+/// The configurations one computation has visited: an open-addressing
+/// hash set whose table is reused by every computation at the same
+/// nesting depth.  Clear() starts a new generation instead of touching
+/// the table, so a computation allocates only when its memo outgrows
+/// every earlier one at its depth.
+class ConfigSet {
+ public:
+  void Clear() {
+    size_ = 0;
+    if (++generation_ == 0) {  // wrapped: forget every stamp
+      for (Slot& slot : slots_) slot.generation = 0;
+      generation_ = 1;
+    }
+  }
+
+  /// True when `key` was not in the set yet.
+  bool Insert(const ConfigKey& key) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = ConfigKeyHash{}(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.generation != generation_) {
+        slot.key = key;
+        slot.generation = generation_;
+        ++size_;
+        return true;
+      }
+      if (slot.key == key) return false;
+    }
+  }
+
+ private:
+  struct Slot {
+    ConfigKey key{};
+    std::uint32_t generation = 0;
+  };
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(16, old.size() * 2), Slot{});
+    const std::uint32_t live = generation_;
+    generation_ = 1;
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.generation == live) Insert(slot.key);
+    }
+  }
+
+  std::vector<Slot> slots_;  // power-of-two size
+  std::size_t size_ = 0;
+  std::uint32_t generation_ = 1;
+};
+
+/// Scratch of the computations at one atp() nesting depth, reused by
+/// each of them in turn.
+struct Frame {
+  ConfigSet visited;
+  /// The nodes the current look-ahead selected.
+  std::vector<NodeId> selected;
+  /// The union of what its subcomputations returned.
+  Relation collected{0};
+  /// The current store when stores are not interned.
+  Store owned;
 };
 
 /// Governor charges (kCycleMemo) for the structures keyed by interned
@@ -172,38 +234,15 @@ struct TableEntry {
 
 class Runner {
  public:
-  Runner(const Program& program, const Tree& tree, const RunOptions& options)
-      : program_(program),
+  Runner(const PreparedProgram& prepared, const Tree& tree,
+         const RunOptions& options)
+      : prepared_(prepared),
+        program_(prepared.program()),
         tree_(tree),
         options_(options),
-        dispatch_(program.rules(), tree),
+        step_(prepared, tree),
         tabling_(options.detect_cycles && !options.record_trace),
-        run_charge_(options.governor, MemoryCategory::kCycleMemo) {
-    // Dense state ids: each state's index in Program::States().
-    state_names_ = program.States();
-    std::unordered_map<std::string, StateId> ids;
-    for (StateId i = 0; i < state_names_.size(); ++i) {
-      ids.emplace(state_names_[i], i);
-    }
-    initial_state_ = ids.at(program.initial_state());
-    final_state_ = ids.at(program.final_state());
-    // Selector identities: rules whose selectors print identically
-    // evaluate identically, so they share one id (the first such rule's
-    // index) and with it one plan and one compile.
-    const std::size_t num_rules = program.rules().size();
-    selector_ids_.resize(num_rules, 0);
-    next_states_.resize(num_rules, 0);
-    call_states_.resize(num_rules, 0);
-    std::map<std::string, std::size_t> first_use;
-    for (std::size_t i = 0; i < num_rules; ++i) {
-      const Rule& rule = program.rules()[i];
-      next_states_[i] = ids.at(rule.action.next_state);
-      if (rule.action.kind != Action::Kind::kLookAhead) continue;
-      call_states_[i] = ids.at(rule.action.call_state);
-      selector_ids_[i] =
-          first_use.emplace(rule.action.selector.ToString(), i).first->second;
-    }
-  }
+        run_charge_(options.governor, MemoryCategory::kCycleMemo) {}
 
   Result<RunResult> Run() {
     Result<Outcome> outcome = Start();
@@ -222,17 +261,18 @@ class Runner {
  private:
   Result<Outcome> Start() {
     const Store& initial = program_.initial_store();
+    const StateId initial_state = prepared_.initial_state();
     if (!options_.detect_cycles) {
-      return Compute(tree_.root(), initial_state_, initial, kNoStore, 0);
+      return Compute(tree_.root(), initial_state, initial, kNoStore, 0);
     }
-    TREEWALK_ASSIGN_OR_RETURN(StoreId id, Intern(Store(initial)));
-    return Compute(tree_.root(), initial_state_, stores_[id], id, 0);
+    TREEWALK_ASSIGN_OR_RETURN(StoreId id, Intern(initial));
+    return Compute(tree_.root(), initial_state, stores_[id], id, 0);
   }
 
   /// The hash-consed id of `store`: an existing id when an equal store
-  /// was reached before in this run, else a fresh one.  Keyed by
-  /// Fingerprint(), with exact comparison on collision.
-  Result<StoreId> Intern(Store store) {
+  /// was reached before in this run, else a fresh one holding a copy.
+  /// Keyed by Fingerprint(), with exact comparison on collision.
+  Result<StoreId> Intern(const Store& store) {
     const std::uint64_t fingerprint = store.Fingerprint();
     auto [first, last] = store_index_.equal_range(fingerprint);
     for (auto it = first; it != last; ++it) {
@@ -245,26 +285,27 @@ class Runner {
         static_cast<std::int64_t>(sizeof(Store)) + kNodeOverheadBytes + 16 +
         static_cast<std::int64_t>(store.TotalTuples()) * 24));
     const StoreId id = static_cast<StoreId>(stores_.size());
-    stores_.push_back(std::move(store));
+    stores_.push_back(store);
     store_index_.emplace(fingerprint, id);
     return id;
   }
 
   /// Makes `relation` register `index` of the current store.  With
-  /// interning the new store is hash-consed and `store` points into the
-  /// run's pool; without it the frame's `owned` copy is edited in place.
+  /// interning the new store is assembled in reused scratch and
+  /// hash-consed, and `store` points into the run's pool; without it the
+  /// frame's `owned` copy is edited in place.
   Status ReplaceRegister(const Store*& store, StoreId& store_id, Store& owned,
-                         std::size_t index, Relation relation) {
+                         std::size_t index, const Relation& relation) {
     if (!options_.detect_cycles) {
       if (store != &owned) {
         owned = *store;
         store = &owned;
       }
-      return owned.Replace(index, std::move(relation));
+      return owned.Assign(index, relation);
     }
-    Store next = *store;
-    TREEWALK_RETURN_IF_ERROR(next.Replace(index, std::move(relation)));
-    TREEWALK_ASSIGN_OR_RETURN(store_id, Intern(std::move(next)));
+    next_store_ = *store;
+    TREEWALK_RETURN_IF_ERROR(next_store_.Assign(index, relation));
+    TREEWALK_ASSIGN_OR_RETURN(store_id, Intern(next_store_));
     store = &stores_[store_id];
     return Status::Ok();
   }
@@ -355,8 +396,11 @@ class Runner {
     StateId state = start_state;
     const Store* store = &start_store;
     StoreId store_id = start_id;
-    Store owned;  // the current store when stores are not interned
-    std::unordered_set<ConfigKey, ConfigKeyHash> visited;
+    while (frames_.size() <= static_cast<std::size_t>(depth)) {
+      frames_.emplace_back();
+    }
+    Frame& frame = frames_[static_cast<std::size_t>(depth)];
+    frame.visited.Clear();
     // The memo lives for this (sub)computation; its budget charge is
     // released with it at scope exit.
     ScopedMemoryCharge memo_charge(options_.governor,
@@ -370,7 +414,7 @@ class Runner {
       }
       TREEWALK_RETURN_IF_ERROR(GovernorCheckDeadline(options_.governor));
       TREEWALK_FAILPOINT("interpreter/step");
-      if (state == final_state_) {
+      if (state == prepared_.final_state()) {
         Outcome out;
         out.accepted = true;
         out.final_store = store_id;
@@ -380,7 +424,7 @@ class Runner {
         return out;
       }
       if (options_.detect_cycles) {
-        if (!visited.insert(ConfigKey{u, state, store_id}).second) {
+        if (!frame.visited.Insert(ConfigKey{u, state, store_id})) {
           return Rejected(RejectReason::kCycle);
         }
         TREEWALK_RETURN_IF_ERROR(memo_charge.Add(
@@ -388,10 +432,8 @@ class Runner {
             kNodeOverheadBytes));
       }
 
-      TREEWALK_ASSIGN_OR_RETURN(
-          const Rule* rule,
-          FindRule(program_, dispatch_, tree_, u, state_names_[state],
-                   *store));
+      TREEWALK_ASSIGN_OR_RETURN(const PreparedRule* rule,
+                                step_.FindRule(u, state, *store));
       if (rule == nullptr) return Rejected(RejectReason::kStuck);
 
       if (++stats_.steps > options_.max_steps) {
@@ -403,11 +445,9 @@ class Runner {
         TREEWALK_RETURN_IF_ERROR(
             GovernorCharge(options_.governor, MemoryCategory::kTrace, 128));
       }
-      Trace(u, state_names_[state], *rule);
+      Trace(u, prepared_.states().Name(state), *rule->rule);
 
-      const std::size_t rule_index =
-          static_cast<std::size_t>(rule - program_.rules().data());
-      const Action& action = rule->action;
+      const Action& action = rule->rule->action;
       switch (action.kind) {
         case Action::Kind::kMove: {
           NodeId v = MoveFrom(tree_, u, action.move);
@@ -416,24 +456,20 @@ class Runner {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeStoreContext(tree_, u, *store);
-          TREEWALK_ASSIGN_OR_RETURN(
-              Relation result,
-              EvalStoreFormula(context, action.update, action.update_vars));
-          TREEWALK_RETURN_IF_ERROR(CheckDiscipline(result, "update"));
+          TREEWALK_ASSIGN_OR_RETURN(const Relation* result,
+                                    step_.EvalUpdate(*rule, u, *store));
+          TREEWALK_RETURN_IF_ERROR(CheckDiscipline(*result, "update"));
           TREEWALK_RETURN_IF_ERROR(ReplaceRegister(
-              store, store_id, owned,
-              static_cast<std::size_t>(action.register_index),
-              std::move(result)));
+              store, store_id, frame.owned,
+              static_cast<std::size_t>(action.register_index), *result));
           ++stats_.store_updates;
           break;
         }
         case Action::Kind::kLookAhead: {
-          ++stats_.subcomputations;
           ++stats_.atp_calls;
-          TREEWALK_ASSIGN_OR_RETURN(
-              std::vector<NodeId> selected,
-              EvalSelector(selector_ids_[rule_index], action.selector, u));
+          std::vector<NodeId>& selected = frame.selected;
+          TREEWALK_RETURN_IF_ERROR(
+              EvalSelector(rule->selector_id, action.selector, u, selected));
           if (program_.program_class() == ProgramClass::kTwL &&
               selected.size() > 1) {
             return FailedPrecondition(
@@ -441,11 +477,13 @@ class Runner {
                 std::to_string(selected.size()) +
                 " nodes; Definition 5.1 allows at most one");
           }
-          Relation collected(store->At(0).arity());
+          Relation& collected = frame.collected;
+          collected.Reset(store->At(0).arity());
           for (NodeId v : selected) {
+            ++stats_.subcomputations;
             TREEWALK_ASSIGN_OR_RETURN(
-                Outcome sub, Call(v, call_states_[rule_index], *store,
-                                  store_id, depth + 1));
+                Outcome sub,
+                Call(v, rule->call_state, *store, store_id, depth + 1));
             if (!sub.accepted) {
               return Rejected(RejectReason::kSubcomputationRejected);
             }
@@ -453,14 +491,13 @@ class Runner {
           }
           TREEWALK_RETURN_IF_ERROR(CheckDiscipline(collected, "look-ahead"));
           TREEWALK_RETURN_IF_ERROR(ReplaceRegister(
-              store, store_id, owned,
-              static_cast<std::size_t>(action.register_index),
-              std::move(collected)));
+              store, store_id, frame.owned,
+              static_cast<std::size_t>(action.register_index), collected));
           ++stats_.store_updates;
           break;
         }
       }
-      state = next_states_[rule_index];
+      state = rule->next_state;
       std::size_t tuples = store->TotalTuples();
       if (tuples > stats_.max_store_tuples) {
         // Store growth is charged at its high-water mark across the
@@ -481,9 +518,9 @@ class Runner {
   /// declines is remembered as a fallback and served by the reference
   /// SelectNodes, which also reproduces the reference error behavior
   /// (docs/EVALUATOR.md).
-  Result<std::vector<NodeId>> EvalSelector(std::size_t canonical_id,
-                                           const Formula& selector,
-                                           NodeId origin) {
+  /// Fills `out` with the selected nodes, in document order.
+  Status EvalSelector(std::size_t canonical_id, const Formula& selector,
+                      NodeId origin, std::vector<NodeId>& out) {
     TREEWALK_FAILPOINT("interpreter/select");
     if (options_.compile_selectors) {
       auto it = compiled_.find(canonical_id);
@@ -504,8 +541,7 @@ class Runner {
         if (plan.strategy == PlanStrategy::kReference) {
           ++stats_.planner_picks_reference;
           compiled_.emplace(canonical_id, std::nullopt);
-          ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
-          return SelectNodes(tree_, selector, origin);
+          return SelectReference(selector, origin, out);
         }
         ++stats_.planner_picks_interval;
         if (!axis_index_.has_value()) {
@@ -545,11 +581,18 @@ class Runner {
       if (it->second.has_value()) {
         ++stats_.compiled_selector_evals;
         ScopedLatencyUs timer(InterpMetrics::Get().compiled_eval_us);
-        return it->second->SelectFrom(origin);
+        it->second->SelectInto(origin, out);
+        return Status::Ok();
       }
     }
+    return SelectReference(selector, origin, out);
+  }
+
+  Status SelectReference(const Formula& selector, NodeId origin,
+                         std::vector<NodeId>& out) {
     ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
-    return SelectNodes(tree_, selector, origin);
+    TREEWALK_ASSIGN_OR_RETURN(out, SelectNodes(tree_, selector, origin));
+    return Status::Ok();
   }
 
   void FlushMetrics() const {
@@ -606,10 +649,11 @@ class Runner {
     trace_.push_back(std::move(entry));
   }
 
+  const PreparedProgram& prepared_;
   const Program& program_;
   const Tree& tree_;
   const RunOptions& options_;
-  const RuleDispatch dispatch_;
+  StepContext step_;
   /// The outcome table is on: cycle detection on and no trace.  Traced
   /// runs stay the untabled reference; with detection off (degradation
   /// rung 3) nothing is interned or tabled.
@@ -617,14 +661,10 @@ class Runner {
   /// kCycleMemo charges held for the whole run: interned stores and
   /// table entries.  Released when the run ends.
   ScopedMemoryCharge run_charge_;
-  std::vector<std::string> state_names_;  // Program::States(), by StateId
-  StateId initial_state_ = 0;
-  StateId final_state_ = 0;
-  /// Per rule index: the successor state and, for look-aheads, the call
-  /// state.
-  std::vector<StateId> next_states_;
-  std::vector<StateId> call_states_;
-  std::vector<std::size_t> selector_ids_;
+  /// Scratch by atp() nesting depth (stable addresses).
+  std::deque<Frame> frames_;
+  /// Where ReplaceRegister assembles the next store before interning it.
+  Store next_store_;
   /// The run's hash-consed stores (stable addresses), by StoreId, and
   /// their index by Fingerprint().
   std::deque<Store> stores_;
@@ -649,7 +689,7 @@ class Runner {
 }  // namespace
 
 Interpreter::Interpreter(const Program& program, RunOptions options)
-    : program_(program), options_(options) {}
+    : prepared_(program), options_(options) {}
 
 Result<RunResult> Interpreter::Run(const Tree& input) const {
   if (input.empty()) return InvalidArgument("empty input tree");
@@ -659,7 +699,7 @@ Result<RunResult> Interpreter::Run(const Tree& input) const {
 
 Result<RunResult> Interpreter::RunDelimited(const Tree& delimited) const {
   if (delimited.empty()) return InvalidArgument("empty input tree");
-  Runner runner(program_, delimited, options_);
+  Runner runner(prepared_, delimited, options_);
   return runner.Run();
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/automata/program.h"
+#include "src/automata/step.h"
 #include "src/common/governor.h"
 #include "src/common/result.h"
 #include "src/tree/delimited.h"
@@ -96,8 +97,12 @@ struct RunStats {
   /// subcomputations instead of executed; steps - tabled_steps were
   /// executed.  Always 0 for traced runs and with detect_cycles off.
   std::int64_t tabled_steps = 0;
+  /// atp() subcomputations started: one per node a look-ahead selected,
+  /// up to the first that rejects.  Those a table hit replayed count
+  /// too, so the figure does not depend on tabling.
   std::int64_t subcomputations = 0;
-  /// atp() rule firings (each may spawn several subcomputations).
+  /// atp() rule firings (each starts one subcomputation per selected
+  /// node).
   std::int64_t atp_calls = 0;
   /// Never written (always 0): there is no selector result cache.
   /// Kept only because perfbench/driver.cc reads them.
@@ -134,7 +139,9 @@ struct RunResult {
 /// Deterministic interpreter for tree-walking programs: the reference
 /// semantics of Definition 3.1.  Programs walk delim(t); Run() wraps the
 /// input itself, RunDelimited() accepts a pre-delimited tree (so repeated
-/// runs over one input can share the transform).
+/// runs over one input can share the transform).  The program is
+/// prepared once, at construction (PreparedProgram, src/automata/step.h),
+/// and every run reuses it; the program must outlive the interpreter.
 ///
 /// Determinism is enforced at runtime: if two rules apply to one
 /// configuration the run aborts with kNondeterminism.  Class tw^l's
@@ -152,7 +159,7 @@ class Interpreter {
   Result<RunResult> RunDelimited(const Tree& delimited) const;
 
  private:
-  const Program& program_;
+  PreparedProgram prepared_;
   RunOptions options_;
 };
 

@@ -8,10 +8,11 @@ namespace treewalk {
 
 namespace {
 
-std::vector<NodeId> AllNodes(std::size_t n) {
-  std::vector<NodeId> out(n);
-  std::iota(out.begin(), out.end(), NodeId{0});
-  return out;
+void AppendAllNodes(std::size_t n, std::vector<NodeId>& out) {
+  const std::size_t begin = out.size();
+  out.resize(begin + n);
+  std::iota(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
+            NodeId{0});
 }
 
 /// Heap bytes to pre-charge for one op (0 for consts, loads, and
@@ -172,19 +173,30 @@ std::int64_t CompiledSelector::RetainedBytes() const {
 }
 
 std::vector<NodeId> CompiledSelector::SelectFrom(NodeId origin) const {
+  std::vector<NodeId> out;
+  SelectInto(origin, out);
+  return out;
+}
+
+void CompiledSelector::SelectInto(NodeId origin,
+                                  std::vector<NodeId>& out) const {
   assert(origin >= 0 && origin < static_cast<NodeId>(n_));
+  out.clear();
   switch (shape_) {
     case Shape::kBool:
-      return literal_ ? AllNodes(n_) : std::vector<NodeId>{};
+      if (literal_) AppendAllNodes(n_, out);
+      return;
     case Shape::kSetX:
       // phi mentions only x: every y qualifies iff phi(origin) holds.
-      return set_->test(origin) ? AllNodes(n_) : std::vector<NodeId>{};
+      if (set_->test(origin)) AppendAllNodes(n_, out);
+      return;
     case Shape::kSetY:
-      return set_->ToVector();
+      set_->AppendTo(out);
+      return;
     case Shape::kMat:
-      return mat_->RowVector(origin);
+      mat_->AppendRowNodes(origin, out);
+      return;
   }
-  return {};
 }
 
 }  // namespace treewalk

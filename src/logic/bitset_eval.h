@@ -101,6 +101,9 @@ class CompiledSelector {
   /// SelectNodes(tree, phi, origin); O(n/64 + |result|).  `origin` must
   /// be a valid node of the tree compiled against.
   std::vector<NodeId> SelectFrom(NodeId origin) const;
+  /// SelectFrom into `out`, which is cleared first; allocates only when
+  /// `out` grows.
+  void SelectInto(NodeId origin, std::vector<NodeId>& out) const;
 
   /// Number of nodes of the tree this selector was compiled against.
   std::size_t tree_size() const { return n_; }

@@ -8,7 +8,6 @@
 #include "src/hyperset/hyperset.h"
 #include "src/logic/atomic_types.h"
 #include "src/logic/tree_eval.h"
-#include "src/relstore/store_eval.h"
 #include "src/tree/delimited.h"
 #include "src/tree/term_io.h"
 
@@ -36,7 +35,7 @@ const char* MessageKindName(ProtocolMessage::Kind kind) {
 
 namespace {
 
-using ConfigKey = std::tuple<NodeId, std::string, Store>;
+using ConfigKey = std::tuple<NodeId, StateId, Store>;
 
 struct CallOutcome {
   enum class Kind { kInProgress, kAccept, kReject };
@@ -58,7 +57,8 @@ class Session {
         tree_(tree),
         owner_(owner),
         options_(options),
-        dispatch_(program.rules(), tree) {}
+        prepared_(program),
+        step_(prepared_, tree) {}
 
   Result<ProtocolResult> Run(std::uint64_t type_token_f,
                              std::uint64_t type_token_g) {
@@ -67,7 +67,7 @@ class Session {
 
     TREEWALK_ASSIGN_OR_RETURN(
         CallOutcome outcome,
-        Resolve(tree_.root(), program_.initial_state(),
+        Resolve(tree_.root(), prepared_.initial_state(),
                 program_.initial_store(), 0));
     bool accepted = outcome.kind == CallOutcome::Kind::kAccept;
     Emit(accepted ? ProtocolMessage::Kind::kAccept
@@ -100,7 +100,7 @@ class Session {
         ProtocolMessage{kind, from, std::move(payload)});
   }
 
-  Result<CallOutcome> Resolve(NodeId start, const std::string& start_state,
+  Result<CallOutcome> Resolve(NodeId start, StateId start_state,
                               const Store& start_store, int depth) {
     if (depth > options_.max_depth) {
       return ResourceExhausted("atp nesting exceeded max_depth");
@@ -121,7 +121,7 @@ class Session {
     memo_.emplace(key, CallOutcome{});
 
     NodeId u = start;
-    std::string state = start_state;
+    StateId state = start_state;
     Store store = start_store;
     std::set<ConfigKey> visited;
 
@@ -129,7 +129,7 @@ class Session {
     outcome.kind = CallOutcome::Kind::kReject;
     while (true) {
       last_party_ = OwnerOf(u);
-      if (state == program_.final_state()) {
+      if (state == prepared_.final_state()) {
         outcome.kind = CallOutcome::Kind::kAccept;
         if (store.num_relations() > 0) outcome.returned = store.At(0);
         break;
@@ -140,15 +140,14 @@ class Session {
         break;
       }
 
-      TREEWALK_ASSIGN_OR_RETURN(
-          const Rule* rule,
-          FindRule(program_, dispatch_, tree_, u, state, store));
+      TREEWALK_ASSIGN_OR_RETURN(const PreparedRule* rule,
+                                step_.FindRule(u, state, store));
       if (rule == nullptr) break;  // stuck
       if (++steps_ > options_.max_steps) {
         return ResourceExhausted("exceeded max_steps");
       }
 
-      const Action& action = rule->action;
+      const Action& action = rule->rule->action;
       bool rejected = false;
       switch (action.kind) {
         case Action::Kind::kMove: {
@@ -169,13 +168,10 @@ class Session {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeStoreContext(tree_, u, store);
-          TREEWALK_ASSIGN_OR_RETURN(
-              Relation updated,
-              EvalStoreFormula(context, action.update, action.update_vars));
-          TREEWALK_RETURN_IF_ERROR(store.Replace(
-              static_cast<std::size_t>(action.register_index),
-              std::move(updated)));
+          TREEWALK_ASSIGN_OR_RETURN(const Relation* updated,
+                                    step_.EvalUpdate(*rule, u, store));
+          TREEWALK_RETURN_IF_ERROR(store.Assign(
+              static_cast<std::size_t>(action.register_index), *updated));
           break;
         }
         case Action::Kind::kLookAhead: {
@@ -204,7 +200,7 @@ class Session {
           for (NodeId v : selected) {
             TREEWALK_ASSIGN_OR_RETURN(
                 CallOutcome sub,
-                Resolve(v, action.call_state, store, depth + 1));
+                Resolve(v, rule->call_state, store, depth + 1));
             if (sub.kind != CallOutcome::Kind::kAccept) {
               rejected = true;
               break;
@@ -226,7 +222,7 @@ class Session {
         }
       }
       if (rejected) break;
-      state = action.next_state;
+      state = rule->next_state;
     }
 
     memo_[key] = outcome;
@@ -237,7 +233,8 @@ class Session {
   const Tree& tree_;
   const std::vector<int>& owner_;
   const ProtocolOptions& options_;
-  const RuleDispatch dispatch_;
+  const PreparedProgram prepared_;
+  StepContext step_;
   std::map<ConfigKey, CallOutcome> memo_;
   std::set<std::string> requests_sent_;
   std::vector<ProtocolMessage> transcript_;

@@ -1,7 +1,9 @@
 #ifndef TREEWALK_RELSTORE_RELATION_H_
 #define TREEWALK_RELSTORE_RELATION_H_
 
+#include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,10 @@ using Tuple = std::vector<DataValue>;
 ///
 /// Arity-0 relations are booleans: either empty (false) or containing the
 /// single empty tuple (true).
+///
+/// The tuples are laid end to end in one buffer, so copying a relation
+/// is one allocation, and assigning into an existing relation, Clear(),
+/// Append() and an in-place UnionWith() reuse its capacity.
 class Relation {
  public:
   /// Empty relation of the given arity.
@@ -28,10 +34,11 @@ class Relation {
   Relation(int arity, std::vector<Tuple> tuples);
 
   int arity() const { return arity_; }
-  std::size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  const std::vector<Tuple>& tuples() const { return tuples_; }
+  /// The tuples in sorted order, copied out.
+  std::vector<Tuple> tuples() const;
 
   /// Membership test; `t` must have the right arity.
   bool Contains(const Tuple& t) const;
@@ -39,11 +46,23 @@ class Relation {
   /// Inserts a tuple (keeps sortedness); returns true if new.
   bool Insert(const Tuple& t);
 
-  /// Set union with a relation of the same arity.
+  /// Appends `t`, which must sort after every tuple present: the
+  /// no-search insert for tuples produced in order.
+  void Append(std::span<const DataValue> t);
+
+  /// Empties the relation and sets its arity, keeping the buffer.
+  void Reset(int arity);
+
+  /// Set union with a relation of the same arity, merged in place.
   void UnionWith(const Relation& other);
 
   /// All values occurring in some tuple, sorted, unique.
   std::vector<DataValue> Values() const;
+  /// Appends every value of every tuple to `out`, in tuple order and
+  /// with repeats.
+  void AppendValues(std::vector<DataValue>& out) const {
+    out.insert(out.end(), values_.begin(), values_.end());
+  }
 
   /// A singleton unary relation {v}; convenience for tw^l registers.
   static Relation Singleton(DataValue v);
@@ -57,12 +76,23 @@ class Relation {
   std::string ToString() const;
 
   friend bool operator==(const Relation&, const Relation&) = default;
-  /// Lexicographic; usable as a map key.
-  friend auto operator<=>(const Relation& a, const Relation& b) = default;
+  /// Lexicographic on (arity, tuple list); usable as a map key.
+  friend std::strong_ordering operator<=>(const Relation& a,
+                                          const Relation& b);
 
  private:
+  /// Tuple `i` (0 <= i < size()) in sorted order, viewed in place.
+  std::span<const DataValue> Row(std::size_t i) const {
+    return {values_.data() + i * static_cast<std::size_t>(arity_),
+            static_cast<std::size_t>(arity_)};
+  }
+  /// Index of the first tuple not less than `t`.
+  std::size_t LowerBound(std::span<const DataValue> t) const;
+
   int arity_;
-  std::vector<Tuple> tuples_;  // sorted, unique
+  std::size_t size_ = 0;
+  /// size_ tuples of arity_ values each, sorted, unique.
+  std::vector<DataValue> values_;
 };
 
 }  // namespace treewalk

@@ -1,8 +1,9 @@
 #ifndef TREEWALK_RELSTORE_STORE_H_
 #define TREEWALK_RELSTORE_STORE_H_
 
+#include <compare>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,7 @@ namespace treewalk {
 /// The relational storage of a tw^r / tw^{r,l} automaton (Section 3): a
 /// fixed list of named relations X_1, ..., X_k with declared arities.
 /// The schema (names and arities) is immutable after construction;
-/// contents are mutable.
+/// contents are mutable.  Copies share the list of names.
 class Store {
  public:
   Store() = default;
@@ -32,7 +33,7 @@ class Store {
   int ArityOf(const std::string& name) const;
 
   const std::string& NameAt(std::size_t index) const {
-    return names_[index];
+    return (*names_)[index];
   }
   const Relation& At(std::size_t index) const { return relations_[index]; }
   Relation& At(std::size_t index) { return relations_[index]; }
@@ -42,10 +43,15 @@ class Store {
 
   /// Replaces relation `index`; arity must match the schema.
   Status Replace(std::size_t index, Relation relation);
+  /// Replace() by copy-assignment, reusing the slot's buffer.
+  Status Assign(std::size_t index, const Relation& relation);
 
   /// All values occurring in any relation, sorted, unique (the store part
   /// of the active domain).
   std::vector<DataValue> ActiveDomain() const;
+  /// Appends every value of every relation to `out`, unsorted and with
+  /// repeats.
+  void AppendValues(std::vector<DataValue>& out) const;
 
   /// Total number of tuples across relations (a size measure for the
   /// PSPACE accounting of Theorem 7.1(3)).
@@ -56,14 +62,16 @@ class Store {
   /// discriminator for cache keys; not collision-free.
   std::uint64_t Fingerprint() const;
 
-  /// Deterministic comparison for memoization of configurations.
-  friend bool operator==(const Store&, const Store&) = default;
-  friend auto operator<=>(const Store&, const Store&) = default;
+  /// Deterministic comparison for memoization of configurations: by
+  /// names, then contents.
+  friend bool operator==(const Store& a, const Store& b);
+  friend std::strong_ordering operator<=>(const Store& a, const Store& b);
 
   std::string ToString() const;
 
  private:
-  std::vector<std::string> names_;
+  /// Relation names by index; null for the empty default store.
+  std::shared_ptr<const std::vector<std::string>> names_;
   std::vector<Relation> relations_;
 };
 

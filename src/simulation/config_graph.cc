@@ -8,14 +8,13 @@
 
 #include "src/automata/step.h"
 #include "src/logic/tree_eval.h"
-#include "src/relstore/store_eval.h"
 #include "src/tree/delimited.h"
 
 namespace treewalk {
 
 namespace {
 
-using ConfigKey = std::tuple<NodeId, std::string, Store>;
+using ConfigKey = std::tuple<NodeId, StateId, Store>;
 
 struct CallOutcome {
   enum class Kind { kInProgress, kAccept, kReject };
@@ -30,12 +29,13 @@ class GraphEvaluator {
       : program_(program),
         tree_(tree),
         options_(options),
-        dispatch_(program.rules(), tree) {}
+        prepared_(program),
+        step_(prepared_, tree) {}
 
   Result<ConfigGraphResult> Run() {
     TREEWALK_ASSIGN_OR_RETURN(
         CallOutcome outcome,
-        Resolve(tree_.root(), program_.initial_state(),
+        Resolve(tree_.root(), prepared_.initial_state(),
                 program_.initial_store(), 0));
     ConfigGraphResult result;
     result.accepted = outcome.kind == CallOutcome::Kind::kAccept;
@@ -47,7 +47,7 @@ class GraphEvaluator {
 
  private:
   /// Outcome of the computation started at [u, q, tau], memoized.
-  Result<CallOutcome> Resolve(NodeId start, const std::string& start_state,
+  Result<CallOutcome> Resolve(NodeId start, StateId start_state,
                               const Store& start_store, int depth) {
     if (depth > options_.max_depth) {
       return ResourceExhausted("atp nesting exceeded max_depth");
@@ -67,14 +67,14 @@ class GraphEvaluator {
     memo_.emplace(key, CallOutcome{});
 
     NodeId u = start;
-    std::string state = start_state;
+    StateId state = start_state;
     Store store = start_store;
     std::set<ConfigKey> visited;
 
     CallOutcome outcome;
     outcome.kind = CallOutcome::Kind::kReject;
     while (true) {
-      if (state == program_.final_state()) {
+      if (state == prepared_.final_state()) {
         outcome.kind = CallOutcome::Kind::kAccept;
         if (store.num_relations() > 0) outcome.returned = store.At(0);
         break;
@@ -83,15 +83,14 @@ class GraphEvaluator {
       if (!visited.insert(config).second) break;  // cycle: reject
       seen_configs_.insert(config);
 
-      TREEWALK_ASSIGN_OR_RETURN(
-          const Rule* rule,
-          FindRule(program_, dispatch_, tree_, u, state, store));
+      TREEWALK_ASSIGN_OR_RETURN(const PreparedRule* rule,
+                                step_.FindRule(u, state, store));
       if (rule == nullptr) break;  // stuck: reject
       if (++steps_ > options_.max_steps) {
         return ResourceExhausted("exceeded max_steps");
       }
 
-      const Action& action = rule->action;
+      const Action& action = rule->rule->action;
       bool rejected = false;
       switch (action.kind) {
         case Action::Kind::kMove: {
@@ -104,13 +103,10 @@ class GraphEvaluator {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeStoreContext(tree_, u, store);
-          TREEWALK_ASSIGN_OR_RETURN(
-              Relation updated,
-              EvalStoreFormula(context, action.update, action.update_vars));
-          TREEWALK_RETURN_IF_ERROR(store.Replace(
-              static_cast<std::size_t>(action.register_index),
-              std::move(updated)));
+          TREEWALK_ASSIGN_OR_RETURN(const Relation* updated,
+                                    step_.EvalUpdate(*rule, u, store));
+          TREEWALK_RETURN_IF_ERROR(store.Assign(
+              static_cast<std::size_t>(action.register_index), *updated));
           break;
         }
         case Action::Kind::kLookAhead: {
@@ -121,7 +117,7 @@ class GraphEvaluator {
           for (NodeId v : selected) {
             TREEWALK_ASSIGN_OR_RETURN(
                 CallOutcome sub,
-                Resolve(v, action.call_state, store, depth + 1));
+                Resolve(v, rule->call_state, store, depth + 1));
             if (sub.kind != CallOutcome::Kind::kAccept) {
               rejected = true;
               break;
@@ -136,7 +132,7 @@ class GraphEvaluator {
         }
       }
       if (rejected) break;
-      state = action.next_state;
+      state = rule->next_state;
     }
 
     memo_[key] = outcome;
@@ -146,7 +142,8 @@ class GraphEvaluator {
   const Program& program_;
   const Tree& tree_;
   const RunOptions& options_;
-  const RuleDispatch dispatch_;
+  const PreparedProgram prepared_;
+  StepContext step_;
   std::map<ConfigKey, CallOutcome> memo_;
   std::set<ConfigKey> seen_configs_;
   std::int64_t steps_ = 0;

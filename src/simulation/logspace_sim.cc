@@ -43,12 +43,18 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
   const int head = planes;
   PebbleMachine pebbles(tree, planes + 1);
 
-  const RuleDispatch dispatch(machine.transitions, tree);
+  const StateIds states(machine.States());
+  const RuleDispatch dispatch(machine.transitions, states, tree);
+  std::vector<StateId> next_states;  // by transition index
+  for (const XtmTransition& t : machine.transitions) {
+    next_states.push_back(states.Find(t.next_state));
+  }
+  const StateId accept_state = states.Find(machine.accept_state);
 
   LogspaceSimResult result;
   result.tape_cells = 1;
   NodeId node = tree.root();
-  std::string state = machine.initial_state;
+  StateId state = states.Find(machine.initial_state);
 
   // Head index, maintained as the rank of the head pebble; the integer
   // shadow below is only used to drive the bit loops (walking the head
@@ -72,7 +78,7 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
   };
 
   while (true) {
-    if (state == machine.accept_state) {
+    if (state == accept_state) {
       result.accepted = true;
       result.walk_steps = pebbles.steps();
       return result;
@@ -81,13 +87,16 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
 
     // Find the unique applicable transition.
     const XtmTransition* found = nullptr;
+    std::size_t found_index = 0;
     for (std::size_t i : dispatch.Candidates(state, tree.label(node))) {
       const XtmTransition& t = machine.transitions[i];
       if (t.read != -1 && t.read != read) continue;
       if (found != nullptr) {
-        return Nondeterminism("two transitions apply in state " + state);
+        return Nondeterminism("two transitions apply in state " +
+                              states.Name(state));
       }
       found = &t;
+      found_index = i;
     }
     if (found == nullptr) {
       result.accepted = false;
@@ -130,7 +139,7 @@ Result<LogspaceSimResult> RunLogspaceSimulation(const Xtm& machine,
     }
     result.tape_cells =
         std::max(result.tape_cells, static_cast<std::size_t>(head_index) + 1);
-    state = found->next_state;
+    state = next_states[found_index];
   }
 }
 

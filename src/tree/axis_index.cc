@@ -89,8 +89,12 @@ void NodeSet::Complement() {
 std::vector<NodeId> NodeSet::ToVector() const {
   std::vector<NodeId> out;
   out.reserve(count());
-  AppendBits(out, words_.data(), words_.size());
+  AppendTo(out);
   return out;
+}
+
+void NodeSet::AppendTo(std::vector<NodeId>& out) const {
+  AppendBits(out, words_.data(), words_.size());
 }
 
 void NodeSet::MaskTail() { MaskTailWords(words_.data(), words_.size(), n_); }

@@ -69,6 +69,8 @@ class NodeSet {
 
   /// Set bits in ascending NodeId order = document order.
   std::vector<NodeId> ToVector() const;
+  /// Appends the members to `out`, sorted.
+  void AppendTo(std::vector<NodeId>& out) const;
 
   const std::uint64_t* words() const { return words_.data(); }
   std::uint64_t* words() { return words_.data(); }

@@ -361,13 +361,24 @@ NodeSet IntervalMatrix::RowSet(NodeId u) const {
   return s;
 }
 
-std::vector<NodeId> IntervalMatrix::RowVector(NodeId u) const {
-  std::vector<NodeId> out;
-  std::vector<NodeSpan> spans;
-  AppendLogicalRow(u, spans);
-  for (const NodeSpan& sp : spans)
-    for (NodeId v = sp.begin; v < sp.end; ++v) out.push_back(v);
-  return out;
+void IntervalMatrix::AppendRowNodes(NodeId u,
+                                    std::vector<NodeId>& out) const {
+  // AppendLogicalRow's spans, read through the view in place.
+  const Row& r = rows_[static_cast<std::size_t>(u)];
+  const SliceView view = r.count > 0 ? MakeView(pools_, r) : SliceView{};
+  NodeId cur = 0;
+  for (std::size_t i = 0; i < view.count; ++i) {
+    const NodeSpan s = ViewAt(view, i);
+    if (r.complemented) {
+      for (NodeId v = cur; v < s.begin; ++v) out.push_back(v);
+      cur = s.end;
+    } else {
+      for (NodeId v = s.begin; v < s.end; ++v) out.push_back(v);
+    }
+  }
+  if (r.complemented) {
+    for (NodeId v = cur; v < static_cast<NodeId>(n_); ++v) out.push_back(v);
+  }
 }
 
 NodeSet IntervalMatrix::AnyPerRow() const {

@@ -68,9 +68,11 @@ class IntervalMatrix {
   std::vector<NodeSpan> RowSpans(NodeId u) const;
   /// Number of set bits in row u; O(spans).
   std::int64_t RowWidth(NodeId u) const;
-  /// Row u as a dense bitset / as sorted node ids.
+  /// Row u as a dense bitset.
   NodeSet RowSet(NodeId u) const;
-  std::vector<NodeId> RowVector(NodeId u) const;
+  /// Appends row u's node ids to `out`, sorted; allocates only when
+  /// `out` grows.
+  void AppendRowNodes(NodeId u, std::vector<NodeId>& out) const;
 
   /// {u : exists v R(u, v)} / {u : forall v R(u, v)}; O(total spans).
   NodeSet AnyPerRow() const;

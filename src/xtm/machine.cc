@@ -2,6 +2,16 @@
 
 namespace treewalk {
 
+std::vector<std::string> Xtm::States() const {
+  std::vector<std::string> states = {initial_state, accept_state};
+  states.insert(states.end(), universal_states.begin(), universal_states.end());
+  for (const XtmTransition& t : transitions) {
+    states.push_back(t.state);
+    states.push_back(t.next_state);
+  }
+  return states;
+}
+
 Status Xtm::Validate() const {
   if (initial_state.empty() || accept_state.empty()) {
     return InvalidArgument("xTM initial/accept states not set");

@@ -75,6 +75,9 @@ struct Xtm {
   /// Structural checks: nonempty states, symbols within the alphabet,
   /// register indices within range, no transition out of accept_state.
   Status Validate() const;
+
+  /// Every state the machine mentions (unsorted, with repeats).
+  std::vector<std::string> States() const;
 };
 
 }  // namespace treewalk

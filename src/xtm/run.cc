@@ -15,7 +15,7 @@ namespace {
 
 struct Config {
   NodeId node;
-  std::string state;
+  StateId state;
   std::vector<int> tape;  // trailing blanks trimmed
   std::size_t head = 0;
   std::vector<DataValue> registers;
@@ -29,8 +29,15 @@ class XtmEngine {
       : machine_(machine),
         tree_(tree),
         options_(options),
-        dispatch_(machine.transitions, tree) {
+        states_(machine.States()),
+        dispatch_(machine.transitions, states_, tree),
+        accept_state_(states_.Find(machine.accept_state)),
+        universal_(states_.size(), false) {
+    for (const std::string& q : machine.universal_states) {
+      universal_[states_.Find(q)] = true;
+    }
     for (const XtmTransition& t : machine.transitions) {
+      next_states_.push_back(states_.Find(t.next_state));
       attr_ids_.push_back(
           t.guard.kind == XtmGuard::Kind::kNone
               ? kNoAttr
@@ -45,7 +52,7 @@ class XtmEngine {
   Config InitialConfig() const {
     Config c;
     c.node = tree_.root();
-    c.state = machine_.initial_state;
+    c.state = states_.Find(machine_.initial_state);
     c.registers.assign(static_cast<std::size_t>(machine_.num_registers), 0);
     return c;
   }
@@ -110,14 +117,24 @@ class XtmEngine {
               ? kBottom
               : tree_.attr(load_attr_ids_[index], c.node);
     }
-    c.state = t.next_state;
+    c.state = next_states_[index];
     return true;
+  }
+
+  bool Accepting(const Config& c) const { return c.state == accept_state_; }
+  bool Universal(const Config& c) const { return universal_[c.state]; }
+  const std::string& StateName(const Config& c) const {
+    return states_.Name(c.state);
   }
 
   const Xtm& machine_;
   const Tree& tree_;
   const XtmOptions& options_;
+  const StateIds states_;
   const RuleDispatch dispatch_;
+  const StateId accept_state_;
+  std::vector<bool> universal_;  // by StateId
+  std::vector<StateId> next_states_;  // by transition index
   std::vector<AttrId> attr_ids_;
   std::vector<AttrId> load_attr_ids_;
 };
@@ -136,19 +153,19 @@ Result<XtmResult> RunXtm(const Xtm& machine, const Tree& input,
   Config c = engine.InitialConfig();
   std::vector<std::size_t> applicable;
   while (true) {
-    if (c.state == machine.accept_state) {
+    if (engine.Accepting(c)) {
       result.accepted = true;
       return result;
     }
     TREEWALK_RETURN_IF_ERROR(engine.ApplicableTransitions(c, applicable));
     if (applicable.empty()) {
-      result.accepted = machine.universal_states.count(c.state) > 0;
+      result.accepted = engine.Universal(c);
       return result;
     }
     if (applicable.size() > 1) {
       return Nondeterminism(
           "deterministic run: " + std::to_string(applicable.size()) +
-          " transitions apply in state " + c.state);
+          " transitions apply in state " + engine.StateName(c));
     }
     if (++result.steps > options.max_steps) {
       return ResourceExhausted("xTM exceeded max_steps");
@@ -190,8 +207,8 @@ Result<XtmResult> RunXtmAlternating(const Xtm& machine, const Tree& input,
     index_of.emplace(c, id);
     configs.push_back(c);
     successors.emplace_back();
-    is_universal.push_back(machine.universal_states.count(c.state) > 0);
-    is_accepting_terminal.push_back(c.state == machine.accept_state);
+    is_universal.push_back(engine.Universal(c));
+    is_accepting_terminal.push_back(engine.Accepting(c));
     return id;
   };
 

@@ -4,6 +4,7 @@
 #include "src/automata/interpreter.h"
 #include "src/protocol/protocol.h"
 #include "src/simulation/config_graph.h"
+#include "src/tree/delimited.h"
 #include "src/tree/term_io.h"
 
 namespace treewalk {
@@ -452,7 +453,15 @@ TEST(Interpreter, StatsAreTracked) {
   auto r = interp.Run(T("a(b)"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->accepted);
-  EXPECT_EQ(r->stats.subcomputations, 1);
+  // One atp() firing starts one subcomputation per selected node: every
+  // leaf of delim(a(b)).
+  const Tree delimited = Delimit(T("a(b)")).tree;
+  std::int64_t leaves = 0;
+  for (NodeId u = 0; u < static_cast<NodeId>(delimited.size()); ++u) {
+    if (delimited.IsLeaf(u)) ++leaves;
+  }
+  EXPECT_EQ(r->stats.atp_calls, 1);
+  EXPECT_EQ(r->stats.subcomputations, leaves);
   EXPECT_GE(r->stats.steps, 3);
   EXPECT_EQ(r->stats.max_depth_reached, 1);
   EXPECT_GE(r->stats.max_store_tuples, 1u);

@@ -17,6 +17,7 @@
 
 #include "src/automata/text_format.h"
 #include "tests/fuzz/axis_interval_driver.h"
+#include "tests/fuzz/program_driver.h"
 #include "src/common/journal.h"
 #include "src/engine/batch_journal.h"
 #include "src/logic/parser.h"
@@ -82,8 +83,14 @@ TEST(FuzzCorpus, XmlSeedsReplayWithoutCrashing) {
 }
 
 TEST(FuzzCorpus, ProgramSeedsReplayWithoutCrashing) {
+  // Mirrors fuzz_program.cc: parse, prepare, and hold every prepared
+  // guard and update to the reference store evaluator.
   ReplayCorpus("program", [](const std::string& s) {
-    return ParseProgramText(s).ok();
+    bool agrees = true;
+    const bool parsed = ProgramStepAgrees(s, &agrees);
+    EXPECT_TRUE(agrees) << "prepared step disagrees with the reference on:\n"
+                        << s;
+    return parsed;
   });
 }
 

@@ -21,6 +21,8 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/engine/engine.h"
+#include "src/logic/tree_eval.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -137,6 +139,44 @@ TEST_F(ObservabilityTest, TabledStepsCounterMatchesRunStats) {
             tabled.stats.tabled_steps);
   EXPECT_EQ(m.Value("treewalk_interp_steps_total"),
             untabled.stats.steps + tabled.stats.steps);
+}
+
+/// RunStats::subcomputations counts the subcomputations an atp() firing
+/// starts, one per selected node, tabled or not, and the registry
+/// counter adds exactly those.
+TEST_F(ObservabilityTest, SubcomputationsCountSelectedNodes) {
+  ProgramBuilder b(ProgramClass::kTwRL);
+  b.SetStates("q0", "qf");
+  b.DeclareRegister("X", 1);
+  b.OnLookAhead("#top", "q0", "true", "q1", "X", "desc(x, y) & leaf(y)",
+                "sub");
+  b.OnUpdate("*", "sub", "true", "ret", "X", "u = 1", {"u"});
+  b.OnMove("*", "ret", "true", "qf", Move::kStay);
+  b.OnMove("#top", "q1", "true", "qf", Move::kStay);
+  Program p = std::move(b.Build()).value();
+  const Tree t = FullTree(3, 2);
+  const Tree delimited = Delimit(t).tree;
+  const std::vector<NodeId> selected =
+      std::move(SelectNodes(delimited, p.rules()[0].action.selector,
+                            delimited.root()))
+          .value();
+  ASSERT_GT(selected.size(), 1u);
+
+  RunOptions traced;
+  traced.record_trace = true;
+  RunResult untabled = std::move(Interpreter(p, traced).Run(t)).value();
+  RunResult tabled = std::move(Interpreter(p).Run(t)).value();
+  for (const RunResult* r : {&untabled, &tabled}) {
+    EXPECT_TRUE(r->accepted);
+    EXPECT_EQ(r->stats.atp_calls, 1);
+    EXPECT_EQ(r->stats.subcomputations,
+              static_cast<std::int64_t>(selected.size()));
+  }
+
+  const MetricsSnapshot m = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(m.Value("treewalk_interp_subcomputations_total"),
+            untabled.stats.subcomputations + tabled.stats.subcomputations);
+  EXPECT_EQ(m.Value("treewalk_interp_atp_calls_total"), 2);
 }
 
 TEST_F(ObservabilityTest, RetriesAndFailuresReconcile) {

@@ -1,5 +1,5 @@
-// RuleDispatch (src/automata/step.h) against a slow twin written straight
-// from Definition 3.1.
+// RuleDispatch (src/automata/step.h), keyed by dense state ids, against
+// a slow twin written straight from Definition 3.1 on state names.
 
 #include <gtest/gtest.h>
 
@@ -73,22 +73,27 @@ TEST(RuleDispatch, MatchesTheLinearScanOnRandomRuleSets) {
       rules.push_back(rule);
       transitions.push_back(t);
     }
-    const RuleDispatch by_rule(rules, tree);
-    const RuleDispatch by_transition(transitions, tree);
     // Every state, plus one no rule mentions, at every label of the tree.
     std::vector<std::string> probe_states = states;
     probe_states.push_back("unused");
+    const StateIds ids(probe_states);
+    const RuleDispatch by_rule(rules, ids, tree);
+    const RuleDispatch by_transition(transitions, ids, tree);
     for (const std::string& state : probe_states) {
+      const StateId id = ids.Find(state);
+      ASSERT_NE(id, kNoState);
+      EXPECT_EQ(ids.Name(id), state);
       for (Symbol s = 0; s < static_cast<Symbol>(tree.labels().size()); ++s) {
         const std::vector<std::uint32_t> want =
             SlowCandidates(rules, state, tree.LabelName(s));
-        EXPECT_EQ(ToVector(by_rule.Candidates(state, s)), want)
+        EXPECT_EQ(ToVector(by_rule.Candidates(id, s)), want)
             << "trial " << trial << " state " << state << " label "
             << tree.LabelName(s);
-        EXPECT_EQ(ToVector(by_transition.Candidates(state, s)), want);
+        EXPECT_EQ(ToVector(by_transition.Candidates(id, s)), want);
         ++checked;
       }
     }
+    EXPECT_TRUE(by_rule.Candidates(kNoState, 0).empty());
   }
   EXPECT_GT(checked, 1000);
 }

@@ -248,6 +248,20 @@ TEST_F(SuperviseTest, KillLoopRestartsCleanlyWithZeroWrongAnswers) {
   std::atomic<bool> stop{false};
   FleetTally tally;
   std::vector<std::thread> fleet;
+  // Stops and joins the fleet on every exit path.  An ASSERT_* below
+  // returns from the test body; leaving joinable threads behind would
+  // std::terminate the process before TearDown reaps the supervisor
+  // and its daemon.
+  struct FleetJoiner {
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& fleet;
+    ~FleetJoiner() {
+      stop.store(true, std::memory_order_release);
+      for (std::thread& t : fleet) {
+        if (t.joinable()) t.join();
+      }
+    }
+  } joiner{stop, fleet};
   fleet.reserve(kFleet);
   for (int i = 0; i < kFleet; ++i) {
     fleet.emplace_back(FleetWorker, port, i, std::cref(stop),

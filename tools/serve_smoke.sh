@@ -54,18 +54,22 @@ class tw
 states q0 qf
 rule #top q0 [true] move stay qf
 EOF
-# Full DFS for an absent label: visits every delimited node, then
-# rejects.  On big.term that is ~a second of genuine work.
-cat > "$WORK/scan.twp" <<'EOF'
-class tw
-states fwd qf
-rule needle fwd [true] move stay qf
-rule #top fwd [true] move down fwd
-rule #open fwd [true] move right fwd
-rule * fwd [true] move down fwd
-rule #leaf fwd [true] move up back
-rule #close fwd [true] move up back
-rule * back [true] move right fwd
+# Full DFS for an absent label, every rule guarded by a tautology whose
+# two nested quantifiers range over the 60 values of X: each step costs
+# about a tenth of a millisecond however fast the step machinery gets,
+# so on big.term the run lasts until its deadline.
+python3 - "$WORK/scan.twp" <<'EOF'
+import sys
+guard = "[forall u forall v ((X(u) & X(v)) -> X(u))]"
+rules = [("needle", "fwd", "move stay qf"), ("#top", "fwd", "move down fwd"),
+         ("#open", "fwd", "move right fwd"), ("*", "fwd", "move down fwd"),
+         ("#leaf", "fwd", "move up back"), ("#close", "fwd", "move up back"),
+         ("*", "back", "move right fwd")]
+lines = ["class twr", "states fwd qf", "register X 1",
+         "init X { " + " ".join(f"({i})" for i in range(60)) + " }"]
+lines += [f"rule {label} {state} {guard} {action}"
+          for label, state, action in rules]
+open(sys.argv[1], "w").write("\n".join(lines) + "\n")
 EOF
 
 "$TWQ" serve "$WORK/corpus" --port 0 --workers 2 --max-queue 8 \
@@ -119,12 +123,10 @@ GENERATION="$(stat_value corpus.generation)"
 [ -n "$GENERATION" ] && [ "$GENERATION" -ge 1 ] || fail "corpus.generation did not advance (got '$GENERATION')"
 
 # 4. Drain: liveness and readiness must diverge.  A slow scan holds the
-# drain open (it runs ~0.7s before the governor's step/memory budget
-# ends it — the interpreter's 1M-step cap bounds how long any one
-# query can hold); both probes connect *before* SIGTERM (new
-# connections are refused once draining) and fire mid-drain, well
-# before the holder can finish.
-"$TWQ" query big.term "$WORK/scan.twp" --remote "$REMOTE" --deadline-ms 4000 \
+# drain open (it runs until its 2 s deadline ends it); both probes
+# connect *before* SIGTERM (new connections are refused once draining)
+# and fire mid-drain, well before the holder can finish.
+"$TWQ" query big.term "$WORK/scan.twp" --remote "$REMOTE" --deadline-ms 2000 \
     > /dev/null 2>&1 &
 HOLDER_PID=$!
 sleep 0.1
